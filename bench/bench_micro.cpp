@@ -79,6 +79,80 @@ void BM_ForestChainAddCommitPrune(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestChainAddCommitPrune);
 
+// The replica's commit path, one block per step: a block arrives and is
+// certified, its grandparent commits (a three-chain) and the forest is
+// pruned; with `retention` the forest is then cut to the last `retained`
+// committed blocks, otherwise it holds `retained` to `retained + 64` of
+// them (a pause every 64 steps cuts it back). Cost that grows with the
+// forest shows as a slope across the Args. Blocks are built 64 at a time
+// in the pause, outside the timing.
+void forest_commit_path(benchmark::State& state, types::Height retained,
+                        bool retention) {
+  constexpr std::size_t kBatch = 64;
+  const auto child = [](const types::BlockPtr& parent) {
+    types::Block::Fields f;
+    f.parent_hash = parent->hash();
+    f.view = parent->view() + 1;
+    f.height = parent->height() + 1;
+    f.justify.view = parent->view();
+    f.justify.height = parent->height();
+    f.justify.block_hash = parent->hash();
+    return std::make_shared<const types::Block>(std::move(f));
+  };
+  const auto qc = [](const types::Block& b) {
+    types::QuorumCert q;
+    q.view = b.view();
+    q.height = b.height();
+    q.block_hash = b.hash();
+    return q;
+  };
+  forest::BlockForest forest;
+  std::vector<types::BlockPtr> blocks{types::Block::genesis()};
+  const auto step = [&](std::size_t i) {
+    benchmark::DoNotOptimize(forest.add(blocks[i]));
+    benchmark::DoNotOptimize(forest.add_qc(qc(*blocks[i])));
+    benchmark::DoNotOptimize(forest.commit(blocks[i - 2]->hash()));
+  };
+  blocks.push_back(child(blocks.back()));
+  forest.add(blocks.back());
+  for (std::size_t i = 2; i < retained + 3; ++i) {
+    blocks.push_back(child(blocks.back()));
+    step(i);
+  }
+  forest.prune();
+  std::size_t next = blocks.size();
+  for (auto _ : state) {
+    if (next == blocks.size()) {
+      state.PauseTiming();
+      if (!retention) forest.prune_below(forest.committed_height() - retained);
+      blocks.erase(blocks.begin(), blocks.end() - 2);
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        blocks.push_back(child(blocks.back()));
+      }
+      next = 2;
+      state.ResumeTiming();
+    }
+    step(next++);
+    benchmark::DoNotOptimize(forest.prune());
+    if (retention) {
+      benchmark::DoNotOptimize(
+          forest.prune_below(forest.committed_height() - retained));
+    }
+  }
+}
+
+void BM_ForestCommitPruneRetained(benchmark::State& state) {
+  forest_commit_path(state, static_cast<types::Height>(state.range(0)),
+                     /*retention=*/false);
+}
+BENCHMARK(BM_ForestCommitPruneRetained)->Arg(256)->Arg(2048)->Arg(16384);
+
+void BM_ForestCommitPruneBelow(benchmark::State& state) {
+  forest_commit_path(state, static_cast<types::Height>(state.range(0)),
+                     /*retention=*/true);
+}
+BENCHMARK(BM_ForestCommitPruneBelow)->Arg(64);
+
 void BM_MempoolAddTake(benchmark::State& state) {
   mempool::Mempool pool(100000);
   types::TxId next = 1;

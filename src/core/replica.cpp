@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace bamboo::core {
 
 using types::BlockPtr;

@@ -8,6 +8,18 @@ using types::Block;
 using types::BlockPtr;
 using types::QuorumCert;
 
+namespace {
+
+// The certified-tip order (longest_certified_tip()): higher first, then the
+// later view, then the lower hash. Total over distinct blocks.
+bool outranks(const Block& a, const Block& b) {
+  if (a.height() != b.height()) return a.height() > b.height();
+  if (a.view() != b.view()) return a.view() > b.view();
+  return a.hash() < b.hash();
+}
+
+}  // namespace
+
 BlockForest::BlockForest() {
   BlockPtr genesis = Block::genesis();
   Vertex v;
@@ -49,18 +61,12 @@ void BlockForest::connect(BlockPtr block) {
   vertices_[block->parent_hash()].children.push_back(hash);
   Vertex v;
   v.block = std::move(block);
-  vertices_.emplace(hash, std::move(v));
+  v.seq = next_seq_++;
+  uncommitted_.push_back(ConnectRecord{hash, v.seq});
+  const auto it = vertices_.emplace(hash, std::move(v)).first;
   // If this block was certified before it arrived (QC travelled faster),
   // refresh the certified-tip tracking now.
-  if (qcs_.count(hash) > 0) {
-    const BlockPtr& b = vertices_[hash].block;
-    if (!longest_certified_ ||
-        b->height() > longest_certified_->height() ||
-        (b->height() == longest_certified_->height() &&
-         b->view() > longest_certified_->view())) {
-      longest_certified_ = b;
-    }
-  }
+  if (qcs_.count(hash) > 0) offer_certified(it->second.block);
   flush_orphans_of(hash);
 }
 
@@ -99,16 +105,16 @@ bool BlockForest::add_qc(const QuorumCert& qc) {
     high_qc_ = qc;
   }
 
-  const BlockPtr block = get(qc.block_hash);
-  if (block && inserted) {
-    if (!longest_certified_ ||
-        block->height() > longest_certified_->height() ||
-        (block->height() == longest_certified_->height() &&
-         block->view() > longest_certified_->view())) {
-      longest_certified_ = block;
-    }
+  if (inserted) {
+    if (const BlockPtr block = get(qc.block_hash)) offer_certified(block);
   }
   return inserted;
+}
+
+void BlockForest::offer_certified(const BlockPtr& block) {
+  if (!longest_certified_ || outranks(*block, *longest_certified_)) {
+    longest_certified_ = block;
+  }
 }
 
 bool BlockForest::is_certified(const crypto::Digest& hash) const {
@@ -192,44 +198,50 @@ std::optional<crypto::Digest> BlockForest::committed_hash_at(
 }
 
 std::vector<BlockPtr> BlockForest::prune() {
-  // Keep: the committed chain (all heights; bodies of old committed blocks
-  // could move to cold storage, but the simulation keeps hashes only via
-  // committed_hashes_ and may drop old vertices), plus every descendant of
-  // the committed tip.
+  // Keep the committed chain plus the committed tip's subtree. One pass over
+  // the uncommitted vertices in connect order: a parent connects before its
+  // children, so it is decided first. A vertex stays when its parent is the
+  // committed tip or an uncommitted vertex that stayed. A parent with a
+  // later seq is a re-added copy of one retention dropped, so the child sits
+  // below the committed tip and goes. Dropped blocks leave in connect order,
+  // parents first.
   std::vector<BlockPtr> dropped;
-  // Mark descendants of the committed tip.
-  std::unordered_map<crypto::Digest, bool> keep;
-  keep.reserve(vertices_.size());
-  std::vector<crypto::Digest> stack{committed_tip_->hash()};
-  while (!stack.empty()) {
-    const crypto::Digest h = stack.back();
-    stack.pop_back();
-    keep[h] = true;
-    const auto it = vertices_.find(h);
-    if (it == vertices_.end()) continue;
-    for (const crypto::Digest& child : it->second.children) stack.push_back(child);
-  }
-
-  for (auto it = vertices_.begin(); it != vertices_.end();) {
-    const Vertex& v = it->second;
-    if (v.committed || keep.count(it->first) > 0) {
-      ++it;
+  std::size_t kept = 0;
+  for (const ConnectRecord& entry : uncommitted_) {
+    const auto it = vertices_.find(entry.hash);
+    if (it == vertices_.end() || it->second.committed ||
+        it->second.seq != entry.seq) {
+      continue;  // stale
+    }
+    const auto parent = vertices_.find(it->second.block->parent_hash());
+    const bool in_subtree =
+        parent != vertices_.end() &&
+        (parent->second.committed ? parent->first == committed_tip_->hash()
+                                  : parent->second.seq < entry.seq);
+    if (in_subtree) {
+      uncommitted_[kept++] = entry;
       continue;
     }
-    dropped.push_back(v.block);
-    qcs_.erase(it->first);
-    it = vertices_.erase(it);
+    dropped.push_back(std::move(it->second.block));
+    qcs_.erase(entry.hash);
+    vertices_.erase(it);
   }
-
-  // Remove dangling child links and stale orphans below the committed tip.
-  for (auto& [hash, vertex] : vertices_) {
-    auto& ch = vertex.children;
+  uncommitted_.resize(kept);
+  // A dropped vertex's parent is a committed block or was dropped too; only
+  // a surviving parent needs its child list repaired. The first repair of
+  // a parent removes all of its dropped children at once.
+  for (const BlockPtr& block : dropped) {
+    const auto parent = vertices_.find(block->parent_hash());
+    if (parent == vertices_.end()) continue;
+    auto& ch = parent->second.children;
     ch.erase(std::remove_if(ch.begin(), ch.end(),
                             [this](const crypto::Digest& c) {
                               return vertices_.count(c) == 0;
                             }),
              ch.end());
   }
+
+  // Stale orphans below the committed tip can never connect.
   for (auto it = orphans_.begin(); it != orphans_.end();) {
     auto& bucket = it->second;
     bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
@@ -241,17 +253,14 @@ std::vector<BlockPtr> BlockForest::prune() {
     it = bucket.empty() ? orphans_.erase(it) : std::next(it);
   }
 
-  // The longest certified tip may have been on a dropped branch.
-  if (!longest_certified_ ||
-      vertices_.count(longest_certified_->hash()) == 0) {
+  // The longest certified tip may have been on a dropped branch. Every
+  // certified block that could replace it is the committed tip or in its
+  // subtree, and the surviving uncommitted vertices are that subtree.
+  if (!longest_certified_ || !contains(longest_certified_->hash())) {
     longest_certified_ = committed_tip_;
-    for (const auto& [hash, vertex] : vertices_) {
-      if (qcs_.count(hash) == 0) continue;
-      const BlockPtr& b = vertex.block;
-      if (b->height() > longest_certified_->height() ||
-          (b->height() == longest_certified_->height() &&
-           b->view() > longest_certified_->view())) {
-        longest_certified_ = b;
+    for (const ConnectRecord& entry : uncommitted_) {
+      if (qcs_.count(entry.hash) > 0) {
+        offer_certified(vertices_.at(entry.hash).block);
       }
     }
   }
@@ -260,30 +269,20 @@ std::vector<BlockPtr> BlockForest::prune() {
 
 std::size_t BlockForest::prune_below(types::Height horizon) {
   if (horizon > committed_tip_->height()) horizon = committed_tip_->height();
+  // No child list needs repair: a committed vertex's parent is committed
+  // and lower, so it goes first (a snapshot anchor is nobody's child).
   std::size_t dropped = 0;
-  for (auto it = vertices_.begin(); it != vertices_.end();) {
-    const Vertex& v = it->second;
-    if (!v.committed || v.block->height() >= horizon) {
-      ++it;
-      continue;
-    }
+  for (; retained_from_ < horizon; ++retained_from_) {
+    const auto it = vertices_.find(committed_hashes_[retained_from_]);
+    if (it == vertices_.end() || !it->second.committed) continue;
     qcs_.erase(it->first);
-    it = vertices_.erase(it);
+    vertices_.erase(it);
     ++dropped;
-  }
-  if (dropped == 0) return 0;
-  for (auto& [hash, vertex] : vertices_) {
-    auto& ch = vertex.children;
-    ch.erase(std::remove_if(ch.begin(), ch.end(),
-                            [this](const crypto::Digest& c) {
-                              return vertices_.count(c) == 0;
-                            }),
-             ch.end());
   }
   // The certified-tip cache cannot point below the committed tip once
   // anything was dropped below it; refresh defensively anyway.
-  if (!longest_certified_ ||
-      vertices_.count(longest_certified_->hash()) == 0) {
+  if (dropped > 0 && (!longest_certified_ ||
+                      !contains(longest_certified_->hash()))) {
     longest_certified_ = committed_tip_;
   }
   return dropped;
@@ -310,17 +309,16 @@ bool BlockForest::install_snapshot(const BlockPtr& anchor,
   if (!inserted) it->second.committed = true;
   // Mark any locally present blocks on the snapshot chain committed (the
   // gap region is absent by definition, but blocks near our old tip may
-  // overlap the chain).
-  for (const crypto::Digest& h : committed_hashes_) {
-    const auto vit = vertices_.find(h);
-    if (vit != vertices_.end()) vit->second.committed = true;
+  // overlap the chain). One below prune_below()'s cursor pulls it back.
+  for (types::Height h = 0; h < committed_hashes_.size(); ++h) {
+    const auto vit = vertices_.find(committed_hashes_[h]);
+    if (vit == vertices_.end() || vit->second.committed) continue;
+    vit->second.committed = true;
+    retained_from_ = std::min(retained_from_, h);
   }
   committed_tip_ = anchor;
   add_qc(anchor_qc);
-  if (!longest_certified_ ||
-      anchor->height() > longest_certified_->height()) {
-    longest_certified_ = anchor;
-  }
+  offer_certified(anchor);
   // Buffered children of the anchor (from concurrent chain sync or live
   // traffic) can connect now.
   flush_orphans_of(anchor->hash());

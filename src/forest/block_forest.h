@@ -60,7 +60,9 @@ class BlockForest {
   [[nodiscard]] types::BlockPtr ancestor(const types::BlockPtr& block,
                                          std::uint32_t k) const;
 
-  /// Direct children currently known.
+  /// Direct children currently known: the present blocks that connected
+  /// under this one (a snapshot anchor is installed, not connected, so it
+  /// is listed under no parent).
   [[nodiscard]] std::vector<types::BlockPtr> children(
       const crypto::Digest& hash) const;
 
@@ -88,8 +90,15 @@ class BlockForest {
   }
 
   /// Drop every block that is not on the main chain and not a descendant of
-  /// the committed tip. Returns the dropped blocks (the forked-out blocks
-  /// whose transactions the replica recycles into its mempool).
+  /// the committed tip, and every buffered orphan at or below the committed
+  /// height. Returns the dropped blocks (the forked-out blocks whose
+  /// transactions the replica recycles into its mempool) in connect order,
+  /// so a parent comes before its children.
+  ///
+  /// Cost: one visit per block connected since the previous prune(), per
+  /// uncommitted block kept by it (the committed tip's subtree) and per
+  /// buffered orphan, never per retained committed block. Allocates only
+  /// the returned vector.
   std::vector<types::BlockPtr> prune();
 
   /// Retention pruning (durable ledger): drop committed vertices strictly
@@ -98,6 +107,10 @@ class BlockForest {
   /// consistency checks and snapshot serving are unaffected. Returns the
   /// number of vertices dropped (these are NOT forks — their transactions
   /// committed — so they are not recycled).
+  ///
+  /// Cost: one lookup per height the horizon advanced since the previous
+  /// call; a cursor walks committed_hashes_ upward and never scans the
+  /// forest.
   std::size_t prune_below(types::Height horizon);
 
   /// Snapshot install (state transfer): adopt `hashes` — the serving
@@ -112,7 +125,12 @@ class BlockForest {
                         const std::vector<crypto::Digest>& hashes);
 
   /// Tip of the longest certified ("notarized") chain — Streamlet's
-  /// proposing base. Ties break toward the higher view, then lower hash.
+  /// proposing base: the greatest certified block present, ordered by
+  /// height, then view, then lower hash (a total order, so the answer does
+  /// not depend on the order blocks and QCs arrived in). When prune() drops
+  /// that block, the rescan starts from the committed tip, which is itself
+  /// certified when the commit rule only commits certified blocks, as the
+  /// shipped protocols' rules do.
   [[nodiscard]] types::BlockPtr longest_certified_tip() const;
 
   /// Hashes whose parents are missing (targets for chain sync).
@@ -134,10 +152,16 @@ class BlockForest {
     types::BlockPtr block;
     std::vector<crypto::Digest> children;
     bool committed = false;
+    std::uint64_t seq = 0;  // connect order (0: installed, not connected)
+  };
+  struct ConnectRecord {
+    crypto::Digest hash;
+    std::uint64_t seq;
   };
 
   void connect(types::BlockPtr block);
   void flush_orphans_of(const crypto::Digest& parent_hash);
+  void offer_certified(const types::BlockPtr& block);
 
   std::unordered_map<crypto::Digest, Vertex> vertices_;
   std::unordered_map<crypto::Digest, types::QuorumCert> qcs_;
@@ -146,6 +170,16 @@ class BlockForest {
   types::BlockPtr committed_tip_;
   std::vector<crypto::Digest> committed_hashes_;  // indexed by height
   types::BlockPtr longest_certified_;
+
+  // prune()'s working set: every uncommitted vertex, in connect order, by
+  // (hash, seq). An entry goes stale when its vertex commits or leaves the
+  // forest (a re-added block connects under a new seq); the next prune()
+  // drops it.
+  std::vector<ConnectRecord> uncommitted_;
+  std::uint64_t next_seq_ = 1;
+  // prune_below()'s cursor: no committed vertex below this height remains
+  // (install_snapshot pulls it back when it commits a vertex below).
+  types::Height retained_from_ = 0;
 };
 
 }  // namespace bamboo::forest

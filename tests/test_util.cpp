@@ -1,5 +1,5 @@
 // Tests for src/util: RNG determinism and distributions, statistics,
-// hex codec, JSON parser, logging.
+// hex codec, JSON parser.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "util/hex.h"
 #include "util/json.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -357,20 +356,6 @@ TEST(Json, GettersFallBack) {
   EXPECT_EQ(j.get_int("absent", 42), 42);
   EXPECT_EQ(j.get_string("absent", "dflt"), "dflt");
   EXPECT_TRUE(j.get_bool("absent", true));
-}
-
-// ---------------------------------------------------------------------------
-// Logging
-// ---------------------------------------------------------------------------
-
-TEST(Logging, LevelFiltering) {
-  auto& logger = util::Logger::instance();
-  const auto prev = logger.level();
-  logger.set_level(util::LogLevel::kError);
-  EXPECT_FALSE(logger.enabled(util::LogLevel::kDebug));
-  EXPECT_FALSE(logger.enabled(util::LogLevel::kInfo));
-  EXPECT_TRUE(logger.enabled(util::LogLevel::kError));
-  logger.set_level(prev);
 }
 
 }  // namespace
