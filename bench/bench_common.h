@@ -297,13 +297,6 @@ class Reporter {
     return out;
   }
 
-  /// Free-form side table (e.g. a timeline) persisted next to the records.
-  void add_table(const std::string& artifact,
-                 std::vector<std::string> headers,
-                 std::vector<std::vector<std::string>> rows) {
-    writer_.add_table(artifact, std::move(headers), std::move(rows));
-  }
-
   /// Write the artifact directory (if --out) and print what happened.
   void finish() {
     if (sharded()) {

@@ -2,9 +2,9 @@
 // network, offer closed-loop load for one simulated second, and print the
 // paper's four metrics plus a cross-replica consistency check.
 //
-// Build & run:
+// Build & run (each command is one line; long ones are wrapped here):
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/quickstart [protocol] [topology] [link_model] [churn-dsl] \
+//   ./build/quickstart [protocol] [topology] [link_model] [churn-dsl]
 //                      [workload] [mempool] [store]
 // where protocol is one of: hotstuff (default), 2chs, streamlet,
 // fasthotstuff; topology is a WAN scenario spec (e.g. "wan:3:40",
@@ -19,7 +19,7 @@
 //   ./build/quickstart hotstuff wan:3:40 pareto
 //   ./build/quickstart hotstuff uniform normal 'partition@0.5s:...;heal@0.8s'
 //   ./build/quickstart hotstuff uniform normal '' open:120000 2000:backoff:5
-//   ./build/quickstart hotstuff uniform normal \
+//   ./build/quickstart hotstuff uniform normal
 //       'crash-restart@0.5s:replica=2:for=0.2s' '' '' file
 
 #include <cstdlib>
@@ -112,9 +112,13 @@ int main(int argc, char** argv) {
   // Config parsing, topology construction and churn installation all
   // throw std::invalid_argument on user typos — exit cleanly, not via
   // std::terminate.
+  harness::RunSpec spec;
+  spec.cfg = cfg;
+  spec.workload = wl;
+  spec.opts = opts;
   harness::RunResult r;
   try {
-    r = harness::run_experiment(cfg, wl, opts);
+    r = harness::execute(spec);
   } catch (const std::exception& e) {
     std::cerr << "invalid configuration: " << e.what() << "\n";
     return 2;

@@ -390,12 +390,21 @@ std::string format_target(const ChurnEvent& ev) {
 
 std::string format_event(const ChurnEvent& ev) {
   std::string out = churn_kind_name(ev.kind);
-  out += ev.on_timeout ? "@timeout" : "@" + num(ev.at_s) + "s";
+  // Appended piece by piece: gcc 12 reports a false -Wrestrict on
+  // `"literal" + std::string` here.
+  if (ev.on_timeout) {
+    out += "@timeout";
+  } else {
+    out += '@';
+    out += num(ev.at_s);
+    out += 's';
+  }
   switch (ev.kind) {
     case ChurnKind::kLinkDegrade:
       out += format_target(ev);
-      out += ":" + std::string(ev.extra_ms < 0 ? "" : "+") +
-             num(ev.extra_ms) + "ms";
+      out += ev.extra_ms < 0 ? ":" : ":+";
+      out += num(ev.extra_ms);
+      out += "ms";
       break;
     case ChurnKind::kLinkRestore:
       out += format_target(ev);

@@ -195,12 +195,22 @@ void Cluster::restart_replica(types::NodeId id) {
   fold(retired_sync_, old.sync_stats());
   retired_mem_admitted_ += old.pool().admitted_count();
   retired_mem_rejected_ += old.pool().rejected_count();
+  if (!old.is_byzantine()) retired_timeouts_ += old.pm().timeouts_fired();
   if (!old.crashed()) old.crash();  // quiesce timers before the swap
   ++restarts_;
   replicas_.at(id) = build_replica(id);
   net_.set_down(id, false);  // crash() downed the NIC; bring it back
   replicas_.at(id)->reload_from_store();
   replicas_.at(id)->start();
+}
+
+void Cluster::silence_replica(types::NodeId id) {
+  core::Replica& replica = *replicas_.at(id);
+  // Leaving the honest set: keep the timeouts it fired while honest.
+  if (!replica.is_byzantine()) {
+    retired_timeouts_ += replica.pm().timeouts_fired();
+  }
+  replica.set_strategy(core::ByzStrategy::kSilence);
 }
 
 Cluster::ConsistencyReport Cluster::check_consistency() const {
@@ -244,11 +254,9 @@ Cluster::ConsistencyReport Cluster::check_consistency() const {
 }
 
 std::uint64_t Cluster::total_timeouts() const {
-  std::uint64_t total = 0;
+  std::uint64_t total = retired_timeouts_;
   for (const auto& replica : replicas_) {
-    if (!replica->is_byzantine() && !replica->crashed()) {
-      total += replica->pm().timeouts_fired();
-    }
+    if (!replica->is_byzantine()) total += replica->pm().timeouts_fired();
   }
   return total;
 }

@@ -92,9 +92,7 @@ class Cluster {
 
   /// Turn a replica silent mid-run (the paper's Fig. 15 "silence attack
   /// (crash)" fault: it stops proposing but keeps collecting votes).
-  void silence_replica(types::NodeId id) {
-    replicas_.at(id)->set_strategy(core::ByzStrategy::kSilence);
-  }
+  void silence_replica(types::NodeId id);
 
   /// Cross-replica consistency check (paper §III-A): every pair of honest
   /// replicas must agree on the committed block hash at every height both
@@ -107,7 +105,10 @@ class Cluster {
   };
   [[nodiscard]] ConsistencyReport check_consistency() const;
 
-  /// Sum of pacemaker timeouts across honest replicas.
+  /// Pacemaker timeouts honest replicas fired while honest. A crashed
+  /// replica's frozen count stays in; a silenced or crash-restarted
+  /// instance's count is kept in a retired total, so the sum never
+  /// decreases.
   [[nodiscard]] std::uint64_t total_timeouts() const;
 
  private:
@@ -132,6 +133,7 @@ class Cluster {
   sync::SyncStats retired_sync_;
   std::uint64_t retired_mem_admitted_ = 0;
   std::uint64_t retired_mem_rejected_ = 0;
+  std::uint64_t retired_timeouts_ = 0;
   std::uint64_t restarts_ = 0;
   bool started_ = false;
 };

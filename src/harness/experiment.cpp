@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "harness/report.h"
+#include "util/histogram.h"
 #include "util/stats.h"
 
 namespace bamboo::harness {
@@ -86,6 +88,169 @@ DemocracyScalars democracy_scalars(
   return s;
 }
 
+void RunResult::set_latency_hist(const util::LatencyHistogram& hist) {
+  if (hist.empty()) return;
+  hist_p50_ms = hist.quantile(0.50);
+  hist_p99_ms = hist.quantile(0.99);
+  hist_p999_ms = hist.quantile(0.999);
+  latency_hist = hist.encode();
+}
+
+void RunResult::set_commit_share(
+    const std::map<types::NodeId, std::uint64_t>& counts,
+    std::uint32_t n_replicas, std::uint32_t byz_no) {
+  commit_share = encode_commit_share(counts);
+  const DemocracyScalars dem = democracy_scalars(counts, n_replicas, byz_no);
+  chain_quality = dem.chain_quality;
+  commit_share_max = dem.commit_share_max;
+  proposer_gini = dem.proposer_gini;
+}
+
+namespace {
+
+using Driver = client::WorkloadDriver;
+
+// Window-counter readers for the metric table. Each returns a running
+// total that never decreases over a run.
+
+/// A stat of the metrics observer (replica 0, never crash-restarted).
+template <auto M>
+std::uint64_t observer_total(const Cluster& cluster, const Driver&) {
+  return cluster.replica(0).stats().*M;
+}
+
+/// A replica stat summed over the cluster, plus the instances torn down
+/// by crash-restart (a rebuilt replica restarts its own stats at zero).
+template <auto M>
+std::uint64_t replica_total(const Cluster& cluster, const Driver&) {
+  std::uint64_t total = cluster.retired_stats().*M;
+  for (types::NodeId id = 0; id < cluster.size(); ++id) {
+    total += cluster.replica(id).stats().*M;
+  }
+  return total;
+}
+
+/// A syncer stat summed like replica_total: sync and snapshot transfer
+/// happen at the lagging replicas.
+template <auto M>
+std::uint64_t sync_total(const Cluster& cluster, const Driver&) {
+  std::uint64_t total = cluster.retired_sync_stats().*M;
+  for (types::NodeId id = 0; id < cluster.size(); ++id) {
+    total += cluster.replica(id).sync_stats().*M;
+  }
+  return total;
+}
+
+/// A mempool counter summed like replica_total: every replica owns a pool.
+template <auto Count, auto Retired>
+std::uint64_t pool_total(const Cluster& cluster, const Driver&) {
+  std::uint64_t total = (cluster.*Retired)();
+  for (types::NodeId id = 0; id < cluster.size(); ++id) {
+    total += (cluster.replica(id).pool().*Count)();
+  }
+  return total;
+}
+
+/// A store stat summed over the Cluster-owned stores, which survive
+/// crash-restarts.
+template <auto M>
+std::uint64_t store_total(const Cluster& cluster, const Driver&) {
+  std::uint64_t total = 0;
+  for (types::NodeId id = 0; id < cluster.size(); ++id) {
+    total += cluster.store(id).stats().*M;
+  }
+  return total;
+}
+
+}  // namespace
+
+const std::vector<Metric>& run_metrics() {
+  using report::CiSet;
+  using sync::SyncStats;
+  using core::ReplicaStats;
+  static const std::vector<Metric> metrics = {
+      {"throughput_tps", &RunResult::throughput_tps, Fold::kMeanCi, nullptr,
+       &CiSet::throughput_tps},
+      {"latency_ms_mean", &RunResult::latency_ms_mean, Fold::kMeanCi, nullptr,
+       &CiSet::latency_ms_mean},
+      {"latency_ms_p50", &RunResult::latency_ms_p50, Fold::kMeanCi, nullptr,
+       &CiSet::latency_ms_p50},
+      {"latency_ms_p99", &RunResult::latency_ms_p99, Fold::kMeanCi, nullptr,
+       &CiSet::latency_ms_p99},
+      {"cgr_per_view", &RunResult::cgr_per_view, Fold::kMeanCi, nullptr,
+       &CiSet::cgr_per_view},
+      {"cgr_per_block", &RunResult::cgr_per_block, Fold::kMeanCi, nullptr,
+       &CiSet::cgr_per_block},
+      {"block_interval", &RunResult::block_interval, Fold::kMeanCi, nullptr,
+       &CiSet::block_interval},
+      {"measured_s", &RunResult::measured_s, Fold::kSumOverReps},
+      {"latency_samples", &RunResult::latency_samples, Fold::kCount},
+      {"views", &RunResult::views, Fold::kCount,
+       [](const Cluster& c, const Driver&) {
+         return c.replica(0).current_view();
+       }},
+      {"blocks_committed", &RunResult::blocks_committed, Fold::kCount,
+       observer_total<&ReplicaStats::blocks_committed>},
+      {"blocks_received", &RunResult::blocks_received, Fold::kCount,
+       observer_total<&ReplicaStats::blocks_received>},
+      {"blocks_forked", &RunResult::blocks_forked, Fold::kCount,
+       observer_total<&ReplicaStats::blocks_forked>},
+      {"timeouts", &RunResult::timeouts, Fold::kCount,
+       [](const Cluster& c, const Driver&) { return c.total_timeouts(); }},
+      {"rejected", &RunResult::rejected, Fold::kCount,
+       [](const Cluster&, const Driver& d) { return d.stats().rejected; }},
+      {"net_bytes", &RunResult::net_bytes, Fold::kCount,
+       [](const Cluster& c, const Driver&) {
+         return c.network().bytes_sent();
+       }},
+      {"sync_requests", &RunResult::sync_requests, Fold::kCount,
+       sync_total<&SyncStats::requests_sent>},
+      {"sync_blocks", &RunResult::sync_blocks, Fold::kCount,
+       sync_total<&SyncStats::blocks_applied>},
+      {"sync_bytes", &RunResult::sync_bytes, Fold::kCount,
+       sync_total<&SyncStats::bytes_received>},
+      {"certs_verified", &RunResult::certs_verified, Fold::kCount,
+       replica_total<&ReplicaStats::certs_verified>},
+      {"certs_rejected", &RunResult::certs_rejected, Fold::kCount,
+       replica_total<&ReplicaStats::certs_rejected>},
+      {"recovery_ms", &RunResult::recovery_ms, Fold::kNonZeroMean},
+      {"disk_bytes_written", &RunResult::disk_bytes_written, Fold::kCount,
+       store_total<&storage::StoreStats::bytes_written>},
+      {"write_amplification", &RunResult::write_amplification,
+       Fold::kNonZeroMean},
+      {"store_reads", &RunResult::store_reads, Fold::kCount,
+       store_total<&storage::StoreStats::reads>},
+      {"snapshot_bytes", &RunResult::snapshot_bytes, Fold::kCount,
+       sync_total<&SyncStats::snapshot_bytes_received>},
+      {"snapshot_chunks", &RunResult::snapshot_chunks, Fold::kCount,
+       sync_total<&SyncStats::snapshot_chunks_received>},
+      {"snapshots_installed", &RunResult::snapshots_installed, Fold::kCount,
+       sync_total<&SyncStats::snapshots_installed>},
+      {"snapshots_rejected", &RunResult::snapshots_rejected, Fold::kCount,
+       sync_total<&SyncStats::snapshots_rejected>},
+      {"restarts", &RunResult::restarts, Fold::kCount,
+       [](const Cluster& c, const Driver&) { return c.restarts(); }},
+      {"offered_tps", &RunResult::offered_tps, Fold::kMean},
+      {"hist_p50_ms", &RunResult::hist_p50_ms, Fold::kDerived},
+      {"hist_p99_ms", &RunResult::hist_p99_ms, Fold::kDerived},
+      {"hist_p999_ms", &RunResult::hist_p999_ms, Fold::kDerived},
+      {"mem_admitted", &RunResult::mem_admitted, Fold::kCount,
+       pool_total<&mempool::Mempool::admitted_count,
+                  &Cluster::retired_mem_admitted>},
+      {"mem_rejected", &RunResult::mem_rejected, Fold::kCount,
+       pool_total<&mempool::Mempool::rejected_count,
+                  &Cluster::retired_mem_rejected>},
+      {"latency_hist", &RunResult::latency_hist, Fold::kPooledHist},
+      {"commit_share", &RunResult::commit_share, Fold::kPooledShare},
+      {"chain_quality", &RunResult::chain_quality, Fold::kDerived},
+      {"commit_share_max", &RunResult::commit_share_max, Fold::kDerived},
+      {"proposer_gini", &RunResult::proposer_gini, Fold::kDerived},
+      {"consistent", &RunResult::consistent, Fold::kAll},
+      {"safety_violations", &RunResult::safety_violations, Fold::kSum},
+  };
+  return metrics;
+}
+
 namespace {
 
 /// Observer-side accumulators for CGR and block intervals.
@@ -99,89 +264,35 @@ struct ObserverState {
   std::map<types::NodeId, std::uint64_t> proposer_counts;
 };
 
+/// Every window counter's running total at one window edge, plus the
+/// store's logical bytes (the write-amplification denominator, which is
+/// not a metric of its own).
 struct Snapshot {
-  std::uint64_t blocks_received = 0;
-  std::uint64_t blocks_committed = 0;
-  std::uint64_t blocks_forked = 0;
-  types::View view = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t net_bytes = 0;
-  std::uint64_t sync_requests = 0;
-  std::uint64_t sync_blocks = 0;
-  std::uint64_t sync_bytes = 0;
-  std::uint64_t certs_verified = 0;
-  std::uint64_t certs_rejected = 0;
-  std::uint64_t mem_admitted = 0;
-  std::uint64_t mem_rejected = 0;
-  std::uint64_t disk_bytes_written = 0;
-  std::uint64_t disk_logical_bytes = 0;
-  std::uint64_t store_reads = 0;
-  std::uint64_t snapshot_bytes = 0;
-  std::uint64_t snapshot_chunks = 0;
-  std::uint64_t snapshots_installed = 0;
-  std::uint64_t snapshots_rejected = 0;
-  std::uint64_t restarts = 0;
+  RunResult totals;
+  std::uint64_t logical_bytes = 0;
 
-  static Snapshot of(const Cluster& cluster) {
-    const core::Replica& obs = cluster.replica(0);
+  static Snapshot of(const Cluster& cluster, const Driver& driver) {
     Snapshot s;
-    s.blocks_received = obs.stats().blocks_received;
-    s.blocks_committed = obs.stats().blocks_committed;
-    s.blocks_forked = obs.stats().blocks_forked;
-    s.view = obs.current_view();
-    s.timeouts = cluster.total_timeouts();
-    s.net_bytes = cluster.network().bytes_sent();
-    // Sync activity happens at the LAGGING replicas, so these counters
-    // are cluster-wide sums, like net_bytes.
-    for (types::NodeId id = 0; id < cluster.size(); ++id) {
-      const sync::SyncStats& ss = cluster.replica(id).sync_stats();
-      s.sync_requests += ss.requests_sent;
-      s.sync_blocks += ss.blocks_applied;
-      s.sync_bytes += ss.bytes_received;
-      // Certificate checks happen at every receiving replica; cluster-wide
-      // sums, like the sync counters.
-      s.certs_verified += cluster.replica(id).stats().certs_verified;
-      s.certs_rejected += cluster.replica(id).stats().certs_rejected;
-      // Mempool admission ledger: every replica owns a local pool, so the
-      // backpressure counters are cluster-wide sums too.
-      s.mem_admitted += cluster.replica(id).pool().admitted_count();
-      s.mem_rejected += cluster.replica(id).pool().rejected_count();
-      // Snapshot state transfer happens at the catching-up replicas.
-      s.snapshot_bytes += ss.snapshot_bytes_received;
-      s.snapshot_chunks += ss.snapshot_chunks_received;
-      s.snapshots_installed += ss.snapshots_installed;
-      s.snapshots_rejected += ss.snapshots_rejected;
-      // Durable-ledger accounting comes from the Cluster-owned stores
-      // (which survive crash-restarts, so these stay monotonic).
-      const storage::StoreStats& st = cluster.store(id).stats();
-      s.disk_bytes_written += st.bytes_written;
-      s.disk_logical_bytes += st.logical_bytes;
-      s.store_reads += st.reads;
+    for (const Metric& m : run_metrics()) {
+      if (m.read == nullptr) continue;
+      s.totals.*std::get<std::uint64_t RunResult::*>(m.member) =
+          m.read(cluster, driver);
     }
-    // Counters of replica instances torn down by restart_replica: the new
-    // instance restarts at zero, so without these the before/after deltas
-    // would go negative across a crash-restart.
-    const sync::SyncStats& rsync = cluster.retired_sync_stats();
-    s.sync_requests += rsync.requests_sent;
-    s.sync_blocks += rsync.blocks_applied;
-    s.sync_bytes += rsync.bytes_received;
-    s.snapshot_bytes += rsync.snapshot_bytes_received;
-    s.snapshot_chunks += rsync.snapshot_chunks_received;
-    s.snapshots_installed += rsync.snapshots_installed;
-    s.snapshots_rejected += rsync.snapshots_rejected;
-    s.certs_verified += cluster.retired_stats().certs_verified;
-    s.certs_rejected += cluster.retired_stats().certs_rejected;
-    s.mem_admitted += cluster.retired_mem_admitted();
-    s.mem_rejected += cluster.retired_mem_rejected();
-    s.restarts = cluster.restarts();
+    s.logical_bytes =
+        store_total<&storage::StoreStats::logical_bytes>(cluster, driver);
     return s;
   }
 };
 
-RunResult finalize(Cluster& cluster, client::WorkloadDriver& driver,
-                   const ObserverState& obs, const Snapshot& before,
-                   const Snapshot& after) {
+RunResult finalize(Cluster& cluster, Driver& driver, const ObserverState& obs,
+                   const Snapshot& before, const Snapshot& after) {
   RunResult r;
+  for (const Metric& m : run_metrics()) {
+    if (m.read == nullptr) continue;
+    const auto member = std::get<std::uint64_t RunResult::*>(m.member);
+    r.*member = after.totals.*member - before.totals.*member;
+  }
+
   r.measured_s = driver.measured_seconds();
   r.throughput_tps =
       r.measured_s > 0
@@ -198,44 +309,13 @@ RunResult finalize(Cluster& cluster, client::WorkloadDriver& driver,
     r.latency_ms_p50 = lat.percentile(50);
     r.latency_ms_p99 = lat.percentile(99);
   }
-  const util::LatencyHistogram& hist = driver.latency_hist();
-  if (!hist.empty()) {
-    r.hist_p50_ms = hist.quantile(0.50);
-    r.hist_p99_ms = hist.quantile(0.99);
-    r.hist_p999_ms = hist.quantile(0.999);
-    r.latency_hist = hist.encode();
-  }
+  r.set_latency_hist(driver.latency_hist());
 
-  r.views = after.view - before.view;
-  r.blocks_committed = after.blocks_committed - before.blocks_committed;
-  r.blocks_received = after.blocks_received - before.blocks_received;
-  r.blocks_forked = after.blocks_forked - before.blocks_forked;
-  r.timeouts = after.timeouts - before.timeouts;
-  r.net_bytes = after.net_bytes - before.net_bytes;
-  r.sync_requests = after.sync_requests - before.sync_requests;
-  r.sync_blocks = after.sync_blocks - before.sync_blocks;
-  r.sync_bytes = after.sync_bytes - before.sync_bytes;
-  r.certs_verified = after.certs_verified - before.certs_verified;
-  r.certs_rejected = after.certs_rejected - before.certs_rejected;
-  r.mem_admitted = after.mem_admitted - before.mem_admitted;
-  r.mem_rejected = after.mem_rejected - before.mem_rejected;
-  r.rejected = driver.stats().rejected;
-
-  r.disk_bytes_written = after.disk_bytes_written - before.disk_bytes_written;
-  const std::uint64_t disk_logical =
-      after.disk_logical_bytes - before.disk_logical_bytes;
+  const std::uint64_t logical = after.logical_bytes - before.logical_bytes;
   r.write_amplification =
-      disk_logical > 0 ? static_cast<double>(r.disk_bytes_written) /
-                             static_cast<double>(disk_logical)
-                       : 0.0;
-  r.store_reads = after.store_reads - before.store_reads;
-  r.snapshot_bytes = after.snapshot_bytes - before.snapshot_bytes;
-  r.snapshot_chunks = after.snapshot_chunks - before.snapshot_chunks;
-  r.snapshots_installed =
-      after.snapshots_installed - before.snapshots_installed;
-  r.snapshots_rejected = after.snapshots_rejected - before.snapshots_rejected;
-  r.restarts = after.restarts - before.restarts;
-
+      logical > 0 ? static_cast<double>(r.disk_bytes_written) /
+                        static_cast<double>(logical)
+                  : 0.0;
   r.cgr_per_view = r.views > 0 ? static_cast<double>(r.blocks_committed) /
                                      static_cast<double>(r.views)
                                : 0.0;
@@ -245,14 +325,8 @@ RunResult finalize(Cluster& cluster, client::WorkloadDriver& driver,
                 static_cast<double>(r.blocks_received)
           : 0.0;
   r.block_interval = obs.block_intervals.mean();
-
-  r.commit_share = encode_commit_share(obs.proposer_counts);
-  const DemocracyScalars dem =
-      democracy_scalars(obs.proposer_counts, cluster.config().n_replicas,
-                        cluster.config().byz_no);
-  r.chain_quality = dem.chain_quality;
-  r.commit_share_max = dem.commit_share_max;
-  r.proposer_gini = dem.proposer_gini;
+  r.set_commit_share(obs.proposer_counts, cluster.config().n_replicas,
+                     cluster.config().byz_no);
 
   r.consistent = cluster.check_consistency().consistent;
   for (types::NodeId id = 0; id < cluster.size(); ++id) {
@@ -779,6 +853,12 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
           churn_fail(ev, "replica out of range (have " +
                              std::to_string(cfg.n_replicas) + " replicas)");
         }
+        if (ev.a == 0) {
+          // A rebuilt observer restarts its stats at zero, so the
+          // observer's window counters would run backwards.
+          churn_fail(ev, "replica 0 is the metrics observer and cannot "
+                         "crash-restart");
+        }
         const types::NodeId victim = ev.a;
         const sim::Duration downtime = sim::from_seconds(ev.for_s);
         fire_at([&simulator, &cluster, victim, downtime, probe] {
@@ -868,7 +948,7 @@ RunOutput execute_full(const RunSpec& spec) {
     driver.begin_measurement();
   } else {
     cluster.simulator().run_for(sim::from_seconds(spec.opts.warmup_s));
-    before = Snapshot::of(cluster);
+    before = Snapshot::of(cluster, driver);
     driver.begin_measurement();
     obs->measuring = true;
   }
@@ -876,7 +956,7 @@ RunOutput execute_full(const RunSpec& spec) {
   cluster.simulator().run_for(sim::from_seconds(spec.opts.measure_s));
   obs->measuring = false;
   driver.end_measurement();
-  const Snapshot after = Snapshot::of(cluster);
+  const Snapshot after = Snapshot::of(cluster, driver);
   driver.stop();
 
   RunOutput out;
@@ -899,16 +979,6 @@ RunOutput execute_full(const RunSpec& spec) {
 
 RunResult execute(const RunSpec& spec) {
   return execute_full(spec).result;
-}
-
-RunResult run_experiment(const core::Config& cfg,
-                         const client::WorkloadConfig& wl,
-                         const RunOptions& opts) {
-  RunSpec spec;
-  spec.cfg = cfg;
-  spec.workload = wl;
-  spec.opts = opts;
-  return execute(spec);
 }
 
 std::vector<RunSpec> closed_loop_specs(
@@ -946,37 +1016,6 @@ std::vector<RunSpec> open_loop_specs(const core::Config& cfg,
     specs.push_back(std::move(spec));
   }
   return specs;
-}
-
-std::vector<SweepPoint> to_sweep_points(const std::vector<RunSpec>& specs,
-                                        std::vector<RunResult> results) {
-  std::vector<SweepPoint> points;
-  points.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    points.push_back(SweepPoint{specs[i].offered, std::move(results[i])});
-  }
-  return points;
-}
-
-std::vector<SweepPoint> sweep_closed_loop(
-    const core::Config& cfg, const client::WorkloadConfig& base_wl,
-    const std::vector<std::uint32_t>& concurrencies, const RunOptions& opts) {
-  const auto specs = closed_loop_specs(cfg, base_wl, concurrencies, opts);
-  std::vector<RunResult> results;
-  results.reserve(specs.size());
-  for (const RunSpec& spec : specs) results.push_back(execute(spec));
-  return to_sweep_points(specs, std::move(results));
-}
-
-std::vector<SweepPoint> sweep_open_loop(const core::Config& cfg,
-                                        const client::WorkloadConfig& base_wl,
-                                        const std::vector<double>& rates_tps,
-                                        const RunOptions& opts) {
-  const auto specs = open_loop_specs(cfg, base_wl, rates_tps, opts);
-  std::vector<RunResult> results;
-  results.reserve(specs.size());
-  for (const RunSpec& spec : specs) results.push_back(execute(spec));
-  return to_sweep_points(specs, std::move(results));
 }
 
 RunSpec timeline_spec(const core::Config& cfg,
@@ -1030,21 +1069,6 @@ RunSpec timeline_spec(const core::Config& cfg,
         spec.cfg.churn.empty() ? extra : spec.cfg.churn + ";" + extra;
   }
   return spec;
-}
-
-TimelineResult run_responsiveness_timeline(
-    const core::Config& cfg, const client::WorkloadConfig& wl,
-    double horizon_s, double bucket_s, double fluct_start_s,
-    double fluct_end_s, sim::Duration fluct_lo, sim::Duration fluct_hi,
-    double crash_at_s, types::NodeId crash_replica, FaultKind fault) {
-  RunOutput out = execute_full(
-      timeline_spec(cfg, wl, horizon_s, bucket_s, fluct_start_s, fluct_end_s,
-                    fluct_lo, fluct_hi, crash_at_s, crash_replica, fault));
-  TimelineResult result;
-  result.summary = std::move(out.result);
-  result.bucket_start_s = std::move(out.bucket_start_s);
-  result.tx_per_s = std::move(out.tx_per_s);
-  return result;
 }
 
 }  // namespace bamboo::harness

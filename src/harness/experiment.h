@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "client/workload.h"
@@ -11,7 +12,15 @@
 #include "core/config.h"
 #include "harness/cluster.h"
 
+namespace bamboo::util {
+class LatencyHistogram;
+}
+
 namespace bamboo::harness {
+
+namespace report {
+struct CiSet;
+}
 
 /// Everything one benchmark run produces — the paper's four metrics
 /// (throughput, latency, chain growth rate, block interval; §IV-B) plus
@@ -117,10 +126,53 @@ struct RunResult {
   bool consistent = true;
   std::uint64_t safety_violations = 0;
 
+  /// Set latency_hist and the exact quantiles read from it (unchanged
+  /// when `hist` is empty).
+  void set_latency_hist(const util::LatencyHistogram& hist);
+  /// Set commit_share and the democracy scalars derived from the same
+  /// per-proposer counts.
+  void set_commit_share(const std::map<types::NodeId, std::uint64_t>& counts,
+                        std::uint32_t n_replicas, std::uint32_t byz_no);
+
   /// Field-for-field equality — the determinism tests compare entire
   /// results bit-for-bit across repeated and multi-threaded executions.
   bool operator==(const RunResult&) const = default;
 };
+
+/// How an aggregate row folds one metric over a spec's repetitions. Every
+/// fold runs in rep order, so an aggregate regenerated from shard files is
+/// bit-identical to the unsharded one.
+enum class Fold {
+  kMeanCi,       ///< RunningStats mean, plus a `_ci95` column (CiSet)
+  kMean,         ///< RunningStats mean
+  kSumOverReps,  ///< sum / reps (not a RunningStats mean: bits differ)
+  kCount,        ///< sum / reps, rounded to the nearest integer
+  kNonZeroMean,  ///< mean over the reps where it is > 0 (0 = no event)
+  kPooledHist,   ///< latency histograms merged bucket by bucket
+  kPooledShare,  ///< per-proposer commit counts added
+  kAll,          ///< logical AND
+  kSum,          ///< integer sum
+  kDerived,      ///< recomputed from a pooled metric, not folded itself
+};
+
+/// One RunResult metric, declared once. The entry drives the report
+/// schema (column name and order), the aggregate fold and, for window
+/// counters, the capture: `read` returns a running total that never
+/// decreases, and the metric is its value at the end of the measurement
+/// window minus its value at the start.
+struct Metric {
+  const char* name;
+  std::variant<double RunResult::*, std::uint64_t RunResult::*,
+               std::string RunResult::*, bool RunResult::*>
+      member;
+  Fold fold;
+  std::uint64_t (*read)(const Cluster&,
+                        const client::WorkloadDriver&) = nullptr;
+  double report::CiSet::*ci = nullptr;  ///< kMeanCi: its CI half-width
+};
+
+/// Every RunResult metric, in report column order.
+[[nodiscard]] const std::vector<Metric>& run_metrics();
 
 struct RunOptions {
   double warmup_s = 0.5;
@@ -136,8 +188,8 @@ struct RunOptions {
     const std::string& text);
 
 /// The three leadership-democracy scalars derived from a per-proposer
-/// commit-count map — shared by finalize() and the report aggregator so
-/// pooled-count recomputation matches the per-run path exactly.
+/// commit-count map (RunResult::set_commit_share), so pooled-count
+/// recomputation on aggregate rows matches the per-run path exactly.
 struct DemocracyScalars {
   double chain_quality = 0;
   double commit_share_max = 0;
@@ -258,17 +310,6 @@ struct RunOutput {
 };
 RunOutput execute_full(const RunSpec& spec);
 
-/// Legacy single-run entry point; now a thin wrapper over execute().
-RunResult run_experiment(const core::Config& cfg,
-                         const client::WorkloadConfig& wl,
-                         const RunOptions& opts = {});
-
-/// One point of a latency/throughput curve.
-struct SweepPoint {
-  double offered;  ///< concurrency (closed loop) or λ in tx/s (open loop)
-  RunResult result;
-};
-
 /// Build the specs for a closed-loop concurrency ladder (one spec per
 /// level) — feed these to execute() or a ParallelRunner.
 std::vector<RunSpec> closed_loop_specs(
@@ -281,23 +322,6 @@ std::vector<RunSpec> open_loop_specs(const core::Config& cfg,
                                      const client::WorkloadConfig& base_wl,
                                      const std::vector<double>& rates_tps,
                                      const RunOptions& opts = {});
-
-/// Pair spec labels with their results (specs.size() == results.size()).
-std::vector<SweepPoint> to_sweep_points(const std::vector<RunSpec>& specs,
-                                        std::vector<RunResult> results);
-
-/// The paper's saturation methodology: raise closed-loop concurrency until
-/// throughput stops improving; each level is an independent run.
-std::vector<SweepPoint> sweep_closed_loop(
-    const core::Config& cfg, const client::WorkloadConfig& base_wl,
-    const std::vector<std::uint32_t>& concurrencies,
-    const RunOptions& opts = {});
-
-/// Open-loop λ sweep (model validation, Table II / Fig. 8).
-std::vector<SweepPoint> sweep_open_loop(const core::Config& cfg,
-                                        const client::WorkloadConfig& base_wl,
-                                        const std::vector<double>& rates_tps,
-                                        const RunOptions& opts = {});
 
 /// Build the spec for a Fig. 15 responsiveness timeline run. The
 /// fluctuation window and fault are expressed as churn-DSL events in the
@@ -313,22 +337,5 @@ RunSpec timeline_spec(const core::Config& cfg,
                       sim::Duration fluct_hi, double crash_at_s,
                       types::NodeId crash_replica,
                       FaultKind fault = FaultKind::kSilence);
-
-/// The Fig. 15 responsiveness timeline: run for `horizon_s`, injecting
-/// network fluctuation during [fluct_start_s, fluct_end_s] (extra one-way
-/// delay uniform in [fluct_lo, fluct_hi]) and faulting `crash_replica` at
-/// crash_at_s (negative disables). Returns committed-transaction rate per
-/// `bucket_s` bucket.
-struct TimelineResult {
-  std::vector<double> bucket_start_s;
-  std::vector<double> tx_per_s;
-  RunResult summary;  ///< whole-run totals (latency window = whole run)
-};
-TimelineResult run_responsiveness_timeline(
-    const core::Config& cfg, const client::WorkloadConfig& wl,
-    double horizon_s, double bucket_s, double fluct_start_s,
-    double fluct_end_s, sim::Duration fluct_lo, sim::Duration fluct_hi,
-    double crash_at_s, types::NodeId crash_replica,
-    FaultKind fault = FaultKind::kSilence);
 
 }  // namespace bamboo::harness

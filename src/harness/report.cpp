@@ -6,10 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "core/churn.h"
 #include "sim/time.h"
@@ -20,7 +22,6 @@ namespace bamboo::harness::report {
 namespace {
 
 constexpr const char* kRecordSchema = "bamboo.report/v1";
-constexpr const char* kTableSchema = "bamboo.table/v1";
 constexpr const char* kManifestSchema = "bamboo.report.manifest/v1";
 
 /// The one-sample merge harness::Aggregate::add uses; every aggregate
@@ -43,94 +44,13 @@ std::string csv_escape(const std::string& s) {
   return out;
 }
 
-std::string num(double v) { return util::Json::number_to_string(v); }
-
-/// Full-width uint64 member: written as a decimal string (util::Json
-/// numbers are doubles, exact only up to 2^53); numbers accepted too.
-std::uint64_t get_u64(const util::Json& j, std::string_view key) {
-  const util::Json* v = j.find(key);
-  if (v == nullptr) return 0;
-  if (v->is_string()) return std::strtoull(v->as_string().c_str(), nullptr, 10);
-  if (v->is_number()) return static_cast<std::uint64_t>(v->as_int());
-  return 0;
-}
-
-std::uint64_t round_u64(double v) {
-  return static_cast<std::uint64_t>(std::llround(v));
-}
-
 /// Shared core of make_aggregate_record and merge_records: fold rep-order
-/// results under an already-flattened base provenance.
+/// results under an already-flattened base provenance, one metric at a
+/// time by its table rule.
 Record aggregate_from(const std::string& bench, const std::string& artifact,
                       const std::string& series, std::uint32_t spec_index,
                       Provenance base_prov,
                       const std::vector<RunResult>& results) {
-  Aggregate agg;
-  util::RunningStats p50;
-  util::RunningStats offered;
-  util::LatencyHistogram hist;
-  std::map<types::NodeId, std::uint64_t> commit_counts;
-  double measured_s = 0, latency_samples = 0, views = 0, committed = 0,
-         received = 0, forked = 0, timeouts = 0, rejected = 0, net_bytes = 0,
-         sync_requests = 0, sync_blocks = 0, sync_bytes = 0,
-         certs_verified = 0, certs_rejected = 0, recovery_ms = 0,
-         recovery_reps = 0, mem_admitted = 0, mem_rejected = 0,
-         disk_bytes = 0, store_reads = 0, snapshot_bytes = 0,
-         snapshot_chunks = 0, snapshots_installed = 0, snapshots_rejected = 0,
-         restarts = 0, wamp = 0, wamp_reps = 0;
-  for (const RunResult& r : results) {
-    agg.add(r);
-    fold(p50, r.latency_ms_p50);
-    fold(offered, r.offered_tps);
-    // Histogram merge is integer bucket addition — associative, so the
-    // shard-merged aggregate is bit-identical to the unsharded one, which
-    // no mean-of-rep-percentiles statistic can promise.
-    if (!r.latency_hist.empty()) {
-      hist.merge(util::LatencyHistogram::decode(r.latency_hist));
-    }
-    // Commit-share merge is integer count addition too — associative for
-    // the same shard-identical-to-unsharded reason as the histogram.
-    for (const auto& [id, count] : decode_commit_share(r.commit_share)) {
-      commit_counts[id] += count;
-    }
-    mem_admitted += static_cast<double>(r.mem_admitted);
-    mem_rejected += static_cast<double>(r.mem_rejected);
-    measured_s += r.measured_s;
-    latency_samples += static_cast<double>(r.latency_samples);
-    views += static_cast<double>(r.views);
-    committed += static_cast<double>(r.blocks_committed);
-    received += static_cast<double>(r.blocks_received);
-    forked += static_cast<double>(r.blocks_forked);
-    timeouts += static_cast<double>(r.timeouts);
-    rejected += static_cast<double>(r.rejected);
-    net_bytes += static_cast<double>(r.net_bytes);
-    sync_requests += static_cast<double>(r.sync_requests);
-    sync_blocks += static_cast<double>(r.sync_blocks);
-    sync_bytes += static_cast<double>(r.sync_bytes);
-    certs_verified += static_cast<double>(r.certs_verified);
-    certs_rejected += static_cast<double>(r.certs_rejected);
-    // recovery_ms == 0 means "no recovery event this rep" (the probe
-    // records events only when a heal found laggards); averaging those
-    // zeros in would understate the observed latency.
-    if (r.recovery_ms > 0) {
-      recovery_ms += r.recovery_ms;
-      recovery_reps += 1;
-    }
-    disk_bytes += static_cast<double>(r.disk_bytes_written);
-    store_reads += static_cast<double>(r.store_reads);
-    snapshot_bytes += static_cast<double>(r.snapshot_bytes);
-    snapshot_chunks += static_cast<double>(r.snapshot_chunks);
-    snapshots_installed += static_cast<double>(r.snapshots_installed);
-    snapshots_rejected += static_cast<double>(r.snapshots_rejected);
-    restarts += static_cast<double>(r.restarts);
-    // Same no-event convention as recovery_ms: 0 means "nothing appended".
-    if (r.write_amplification > 0) {
-      wamp += r.write_amplification;
-      wamp_reps += 1;
-    }
-  }
-  const double n = results.empty() ? 1.0 : static_cast<double>(results.size());
-
   Record rec;
   rec.bench = bench;
   rec.artifact = artifact;
@@ -142,67 +62,93 @@ Record aggregate_from(const std::string& bench, const std::string& artifact,
   rec.prov = std::move(base_prov);
   rec.prov.seed = rec.prov.base_seed;
 
-  rec.result.throughput_tps = agg.throughput_tps.mean();
-  rec.result.latency_ms_mean = agg.latency_ms_mean.mean();
-  rec.result.latency_ms_p50 = p50.mean();
-  rec.result.latency_ms_p99 = agg.latency_ms_p99.mean();
-  rec.result.cgr_per_view = agg.cgr_per_view.mean();
-  rec.result.cgr_per_block = agg.cgr_per_block.mean();
-  rec.result.block_interval = agg.block_interval.mean();
-  rec.result.measured_s = measured_s / n;
-  rec.result.latency_samples = round_u64(latency_samples / n);
-  rec.result.views = round_u64(views / n);
-  rec.result.blocks_committed = round_u64(committed / n);
-  rec.result.blocks_received = round_u64(received / n);
-  rec.result.blocks_forked = round_u64(forked / n);
-  rec.result.timeouts = round_u64(timeouts / n);
-  rec.result.rejected = round_u64(rejected / n);
-  rec.result.net_bytes = round_u64(net_bytes / n);
-  rec.result.sync_requests = round_u64(sync_requests / n);
-  rec.result.sync_blocks = round_u64(sync_blocks / n);
-  rec.result.sync_bytes = round_u64(sync_bytes / n);
-  rec.result.certs_verified = round_u64(certs_verified / n);
-  rec.result.certs_rejected = round_u64(certs_rejected / n);
-  rec.result.recovery_ms =
-      recovery_reps > 0 ? recovery_ms / recovery_reps : 0.0;
-  rec.result.disk_bytes_written = round_u64(disk_bytes / n);
-  rec.result.write_amplification = wamp_reps > 0 ? wamp / wamp_reps : 0.0;
-  rec.result.store_reads = round_u64(store_reads / n);
-  rec.result.snapshot_bytes = round_u64(snapshot_bytes / n);
-  rec.result.snapshot_chunks = round_u64(snapshot_chunks / n);
-  rec.result.snapshots_installed = round_u64(snapshots_installed / n);
-  rec.result.snapshots_rejected = round_u64(snapshots_rejected / n);
-  rec.result.restarts = round_u64(restarts / n);
-  rec.result.offered_tps = offered.mean();
-  if (!hist.empty()) {
-    // Exact pooled quantiles over every rep's samples, not a mean of
-    // per-rep quantiles.
-    rec.result.hist_p50_ms = hist.quantile(0.50);
-    rec.result.hist_p99_ms = hist.quantile(0.99);
-    rec.result.hist_p999_ms = hist.quantile(0.999);
-    rec.result.latency_hist = hist.encode();
+  const double n = results.empty() ? 1.0 : static_cast<double>(results.size());
+  // Pooled data: histogram buckets and per-proposer commit counts add as
+  // integers, which is associative, so the shard-merged aggregate is
+  // bit-identical to the unsharded one (no mean of per-rep ratios or
+  // quantiles can promise that).
+  util::LatencyHistogram hist;
+  std::map<types::NodeId, std::uint64_t> commit_counts;
+  RunResult& out = rec.result;
+  for (const Metric& m : run_metrics()) {
+    switch (m.fold) {
+      case Fold::kMeanCi:
+      case Fold::kMean: {
+        const auto member = std::get<double RunResult::*>(m.member);
+        util::RunningStats stats;
+        for (const RunResult& r : results) fold(stats, r.*member);
+        out.*member = stats.mean();
+        if (m.ci != nullptr) rec.ci.*m.ci = stats.ci95();
+        break;
+      }
+      case Fold::kSumOverReps: {
+        const auto member = std::get<double RunResult::*>(m.member);
+        double sum = 0;
+        for (const RunResult& r : results) sum += r.*member;
+        out.*member = sum / n;
+        break;
+      }
+      case Fold::kCount: {
+        const auto member = std::get<std::uint64_t RunResult::*>(m.member);
+        double sum = 0;
+        for (const RunResult& r : results) {
+          sum += static_cast<double>(r.*member);
+        }
+        out.*member = static_cast<std::uint64_t>(std::llround(sum / n));
+        break;
+      }
+      case Fold::kNonZeroMean: {
+        // 0 means "no event this rep" (no recovery, nothing appended);
+        // averaging those zeros in would understate the observed value.
+        const auto member = std::get<double RunResult::*>(m.member);
+        double sum = 0, events = 0;
+        for (const RunResult& r : results) {
+          if (r.*member > 0) {
+            sum += r.*member;
+            events += 1;
+          }
+        }
+        out.*member = events > 0 ? sum / events : 0.0;
+        break;
+      }
+      case Fold::kPooledHist: {
+        const auto member = std::get<std::string RunResult::*>(m.member);
+        for (const RunResult& r : results) {
+          if (!(r.*member).empty()) {
+            hist.merge(util::LatencyHistogram::decode(r.*member));
+          }
+        }
+        break;
+      }
+      case Fold::kPooledShare: {
+        const auto member = std::get<std::string RunResult::*>(m.member);
+        for (const RunResult& r : results) {
+          for (const auto& [id, count] : decode_commit_share(r.*member)) {
+            commit_counts[id] += count;
+          }
+        }
+        break;
+      }
+      case Fold::kAll: {
+        const auto member = std::get<bool RunResult::*>(m.member);
+        for (const RunResult& r : results) {
+          out.*member = out.*member && r.*member;
+        }
+        break;
+      }
+      case Fold::kSum: {
+        const auto member = std::get<std::uint64_t RunResult::*>(m.member);
+        for (const RunResult& r : results) out.*member += r.*member;
+        break;
+      }
+      case Fold::kDerived:
+        break;
+    }
   }
-  rec.result.mem_admitted = round_u64(mem_admitted / n);
-  rec.result.mem_rejected = round_u64(mem_rejected / n);
-  // Democracy scalars recomputed from the POOLED counts (not a mean of
-  // per-rep ratios), so they weight reps by their committed blocks and
-  // merge bit-identically across shards.
-  rec.result.commit_share = encode_commit_share(commit_counts);
-  const DemocracyScalars dem = democracy_scalars(
-      commit_counts, rec.prov.n_replicas, rec.prov.byz_no);
-  rec.result.chain_quality = dem.chain_quality;
-  rec.result.commit_share_max = dem.commit_share_max;
-  rec.result.proposer_gini = dem.proposer_gini;
-  rec.result.consistent = agg.all_consistent;
-  rec.result.safety_violations = agg.safety_violations;
-
-  rec.ci.throughput_tps = agg.throughput_tps.ci95();
-  rec.ci.latency_ms_mean = agg.latency_ms_mean.ci95();
-  rec.ci.latency_ms_p50 = p50.ci95();
-  rec.ci.latency_ms_p99 = agg.latency_ms_p99.ci95();
-  rec.ci.cgr_per_view = agg.cgr_per_view.ci95();
-  rec.ci.cgr_per_block = agg.cgr_per_block.ci95();
-  rec.ci.block_interval = agg.block_interval.ci95();
+  // Exact pooled quantiles over every rep's samples, and democracy
+  // scalars from the pooled counts (weighting reps by committed blocks).
+  out.set_latency_hist(hist);
+  out.set_commit_share(commit_counts, rec.prov.n_replicas, rec.prov.byz_no);
   return rec;
 }
 
@@ -319,35 +265,143 @@ std::vector<Record> make_timeline_records(const std::string& bench,
 
 // --- serialization ---------------------------------------------------------
 
+namespace {
+
+/// Marks a full-width uint64 column written to JSON as a decimal string
+/// (util::Json numbers are doubles, exact only up to 2^53): the seeds, so
+/// the emitters and the shard merge stay lossless for any seed.
+template <typename T>
+struct Decimal {
+  explicit Decimal(T& v) : value(v) {}
+  T& value;
+};
+
+/// The one column list. Calls f(name, field) for every schema column in
+/// order; `field` refers into `r` (const when `r` is). The RunResult
+/// metrics and their `_ci95` columns come from run_metrics().
+template <typename R, typename F>
+void for_each_column(R& r, F&& f) {
+  f("bench", r.bench);
+  f("artifact", r.artifact);
+  f("series", r.series);
+  f("kind", r.kind);
+  f("spec_index", r.spec_index);
+  f("rep", r.rep);
+  f("reps", r.reps);
+  auto& p = r.prov;
+  f("protocol", p.protocol);
+  f("n_replicas", p.n_replicas);
+  f("byz_no", p.byz_no);
+  f("strategy", p.strategy);
+  f("election", p.election);
+  f("bsize", p.bsize);
+  f("psize", p.psize);
+  f("memsize", p.memsize);
+  f("delay_ms", p.delay_ms);
+  f("delay_jitter_ms", p.delay_jitter_ms);
+  f("timeout_ms", p.timeout_ms);
+  f("link_model", p.link_model);
+  f("link_shape", p.link_shape);
+  f("link_loss", p.link_loss);
+  f("topology", p.topology);
+  f("churn", p.churn);
+  f("ge_p", p.ge_p);
+  f("ge_r", p.ge_r);
+  f("ge_loss_good", p.ge_loss_good);
+  f("ge_loss_bad", p.ge_loss_bad);
+  f("sync_batch", p.sync_batch);
+  f("sync_timeout_ms", p.sync_timeout_ms);
+  f("sync_retries", p.sync_retries);
+  f("sync_pipeline", p.sync_pipeline);
+  f("snapshot_gap", p.snapshot_gap);
+  f("store", p.store);
+  f("retention", p.retention);
+  f("verify_strategy", p.verify_strategy);
+  f("cpu_workers", p.cpu_workers);
+  f("cpu_verify_per_sig_us", p.cpu_verify_per_sig_us);
+  f("cpu_verify_batch_base_us", p.cpu_verify_batch_base_us);
+  f("cpu_verify_batch_per_sig_us", p.cpu_verify_batch_per_sig_us);
+  f("mode", p.mode);
+  f("concurrency", p.concurrency);
+  f("arrival_rate_tps", p.arrival_rate_tps);
+  f("arrival", p.arrival);
+  f("client_population", p.client_population);
+  f("admission", p.admission);
+  f("seed", Decimal(p.seed));
+  f("base_seed", Decimal(p.base_seed));
+  f("warmup_s", p.warmup_s);
+  f("measure_s", p.measure_s);
+  f("offered", p.offered);
+  for (const Metric& m : run_metrics()) {
+    std::visit([&](auto member) { f(m.name, r.result.*member); }, m.member);
+    if (m.ci != nullptr) f(std::string(m.name) + "_ci95", r.ci.*m.ci);
+  }
+}
+
+template <typename T>
+constexpr bool kIsDecimal = false;
+template <typename T>
+constexpr bool kIsDecimal<Decimal<T>> = true;
+
+template <typename T>
+std::string csv_cell(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return csv_escape(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return util::Json::number_to_string(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (kIsDecimal<T>) {
+    return std::to_string(v.value);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+template <typename T>
+util::Json json_cell(const T& v) {
+  if constexpr (kIsDecimal<T>) {
+    return util::Json(std::to_string(v.value));
+  } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    return util::Json(static_cast<std::int64_t>(v));
+  } else {
+    return util::Json(v);
+  }
+}
+
+/// Overwrite `field` from `v` when `v` has the field's JSON type; any
+/// other value leaves the default-constructed Record's value in place.
+template <typename T>
+void decode_cell(const util::Json& v, T&& field) {
+  using U = std::remove_cvref_t<T>;
+  if constexpr (kIsDecimal<U>) {
+    if (v.is_string()) {
+      field.value = std::strtoull(v.as_string().c_str(), nullptr, 10);
+    } else if (v.is_number()) {
+      field.value = static_cast<std::uint64_t>(v.as_int());
+    }
+  } else if constexpr (std::is_same_v<U, std::string>) {
+    if (v.is_string()) field = v.as_string();
+  } else if constexpr (std::is_same_v<U, bool>) {
+    if (v.is_bool()) field = v.as_bool();
+  } else if constexpr (std::is_same_v<U, double>) {
+    if (v.is_number()) field = v.as_number();
+  } else if (v.is_number()) {
+    field = static_cast<U>(v.as_int());
+  }
+}
+
+}  // namespace
+
 const std::vector<std::string>& csv_columns() {
-  static const std::vector<std::string> columns = {
-      "bench", "artifact", "series", "kind", "spec_index", "rep", "reps",
-      "protocol", "n_replicas", "byz_no", "strategy", "election", "bsize",
-      "psize", "memsize", "delay_ms", "delay_jitter_ms", "timeout_ms",
-      "link_model", "link_shape", "link_loss", "topology", "churn", "ge_p",
-      "ge_r", "ge_loss_good", "ge_loss_bad", "sync_batch", "sync_timeout_ms",
-      "sync_retries", "sync_pipeline", "snapshot_gap", "store", "retention",
-      "verify_strategy", "cpu_workers",
-      "cpu_verify_per_sig_us", "cpu_verify_batch_base_us",
-      "cpu_verify_batch_per_sig_us", "mode",
-      "concurrency", "arrival_rate_tps", "arrival", "client_population",
-      "admission", "seed", "base_seed", "warmup_s",
-      "measure_s", "offered", "throughput_tps", "throughput_tps_ci95",
-      "latency_ms_mean", "latency_ms_mean_ci95", "latency_ms_p50",
-      "latency_ms_p50_ci95", "latency_ms_p99", "latency_ms_p99_ci95",
-      "cgr_per_view", "cgr_per_view_ci95", "cgr_per_block",
-      "cgr_per_block_ci95", "block_interval", "block_interval_ci95",
-      "measured_s", "latency_samples", "views", "blocks_committed",
-      "blocks_received", "blocks_forked", "timeouts", "rejected", "net_bytes",
-      "sync_requests", "sync_blocks", "sync_bytes", "certs_verified",
-      "certs_rejected", "recovery_ms", "disk_bytes_written",
-      "write_amplification", "store_reads", "snapshot_bytes",
-      "snapshot_chunks", "snapshots_installed", "snapshots_rejected",
-      "restarts",
-      "offered_tps", "hist_p50_ms", "hist_p99_ms", "hist_p999_ms",
-      "mem_admitted", "mem_rejected", "latency_hist",
-      "commit_share", "chain_quality", "commit_share_max", "proposer_gini",
-      "consistent", "safety_violations"};
+  static const std::vector<std::string> columns = [] {
+    std::vector<std::string> names;
+    const Record blank;
+    for_each_column(blank, [&](std::string_view name, const auto&) {
+      names.emplace_back(name);
+    });
+    return names;
+  }();
   return columns;
 }
 
@@ -361,256 +415,22 @@ std::string csv_header() {
 }
 
 std::string csv_row(const Record& r) {
-  const std::vector<std::string> cells = {
-      csv_escape(r.bench),
-      csv_escape(r.artifact),
-      csv_escape(r.series),
-      csv_escape(r.kind),
-      std::to_string(r.spec_index),
-      std::to_string(r.rep),
-      std::to_string(r.reps),
-      csv_escape(r.prov.protocol),
-      std::to_string(r.prov.n_replicas),
-      std::to_string(r.prov.byz_no),
-      csv_escape(r.prov.strategy),
-      csv_escape(r.prov.election),
-      std::to_string(r.prov.bsize),
-      std::to_string(r.prov.psize),
-      std::to_string(r.prov.memsize),
-      num(r.prov.delay_ms),
-      num(r.prov.delay_jitter_ms),
-      num(r.prov.timeout_ms),
-      csv_escape(r.prov.link_model),
-      num(r.prov.link_shape),
-      num(r.prov.link_loss),
-      csv_escape(r.prov.topology),
-      csv_escape(r.prov.churn),
-      num(r.prov.ge_p),
-      num(r.prov.ge_r),
-      num(r.prov.ge_loss_good),
-      num(r.prov.ge_loss_bad),
-      std::to_string(r.prov.sync_batch),
-      num(r.prov.sync_timeout_ms),
-      std::to_string(r.prov.sync_retries),
-      std::to_string(r.prov.sync_pipeline),
-      std::to_string(r.prov.snapshot_gap),
-      csv_escape(r.prov.store),
-      std::to_string(r.prov.retention),
-      csv_escape(r.prov.verify_strategy),
-      std::to_string(r.prov.cpu_workers),
-      num(r.prov.cpu_verify_per_sig_us),
-      num(r.prov.cpu_verify_batch_base_us),
-      num(r.prov.cpu_verify_batch_per_sig_us),
-      csv_escape(r.prov.mode),
-      std::to_string(r.prov.concurrency),
-      num(r.prov.arrival_rate_tps),
-      csv_escape(r.prov.arrival),
-      std::to_string(r.prov.client_population),
-      csv_escape(r.prov.admission),
-      std::to_string(r.prov.seed),
-      std::to_string(r.prov.base_seed),
-      num(r.prov.warmup_s),
-      num(r.prov.measure_s),
-      num(r.prov.offered),
-      num(r.result.throughput_tps),
-      num(r.ci.throughput_tps),
-      num(r.result.latency_ms_mean),
-      num(r.ci.latency_ms_mean),
-      num(r.result.latency_ms_p50),
-      num(r.ci.latency_ms_p50),
-      num(r.result.latency_ms_p99),
-      num(r.ci.latency_ms_p99),
-      num(r.result.cgr_per_view),
-      num(r.ci.cgr_per_view),
-      num(r.result.cgr_per_block),
-      num(r.ci.cgr_per_block),
-      num(r.result.block_interval),
-      num(r.ci.block_interval),
-      num(r.result.measured_s),
-      std::to_string(r.result.latency_samples),
-      std::to_string(r.result.views),
-      std::to_string(r.result.blocks_committed),
-      std::to_string(r.result.blocks_received),
-      std::to_string(r.result.blocks_forked),
-      std::to_string(r.result.timeouts),
-      std::to_string(r.result.rejected),
-      std::to_string(r.result.net_bytes),
-      std::to_string(r.result.sync_requests),
-      std::to_string(r.result.sync_blocks),
-      std::to_string(r.result.sync_bytes),
-      std::to_string(r.result.certs_verified),
-      std::to_string(r.result.certs_rejected),
-      num(r.result.recovery_ms),
-      std::to_string(r.result.disk_bytes_written),
-      num(r.result.write_amplification),
-      std::to_string(r.result.store_reads),
-      std::to_string(r.result.snapshot_bytes),
-      std::to_string(r.result.snapshot_chunks),
-      std::to_string(r.result.snapshots_installed),
-      std::to_string(r.result.snapshots_rejected),
-      std::to_string(r.result.restarts),
-      num(r.result.offered_tps),
-      num(r.result.hist_p50_ms),
-      num(r.result.hist_p99_ms),
-      num(r.result.hist_p999_ms),
-      std::to_string(r.result.mem_admitted),
-      std::to_string(r.result.mem_rejected),
-      csv_escape(r.result.latency_hist),
-      csv_escape(r.result.commit_share),
-      num(r.result.chain_quality),
-      num(r.result.commit_share_max),
-      num(r.result.proposer_gini),
-      r.result.consistent ? "true" : "false",
-      std::to_string(r.result.safety_violations)};
+  // Joined by position: an empty leading cell still gets its separator.
   std::string out;
-  for (const std::string& c : cells) {
-    if (!out.empty()) out += ',';
-    out += c;
-  }
+  bool first = true;
+  for_each_column(r, [&](std::string_view, const auto& field) {
+    if (!first) out += ',';
+    first = false;
+    out += csv_cell(field);
+  });
   return out;
 }
 
 util::Json to_json(const Record& r) {
   util::Json::Object o;
-  o.emplace("bench", util::Json(r.bench));
-  o.emplace("artifact", util::Json(r.artifact));
-  o.emplace("series", util::Json(r.series));
-  o.emplace("kind", util::Json(r.kind));
-  o.emplace("spec_index", util::Json(static_cast<std::int64_t>(r.spec_index)));
-  o.emplace("rep", util::Json(static_cast<std::int64_t>(r.rep)));
-  o.emplace("reps", util::Json(static_cast<std::int64_t>(r.reps)));
-  o.emplace("protocol", util::Json(r.prov.protocol));
-  o.emplace("n_replicas",
-            util::Json(static_cast<std::int64_t>(r.prov.n_replicas)));
-  o.emplace("byz_no", util::Json(static_cast<std::int64_t>(r.prov.byz_no)));
-  o.emplace("strategy", util::Json(r.prov.strategy));
-  o.emplace("election", util::Json(r.prov.election));
-  o.emplace("bsize", util::Json(static_cast<std::int64_t>(r.prov.bsize)));
-  o.emplace("psize", util::Json(static_cast<std::int64_t>(r.prov.psize)));
-  o.emplace("memsize", util::Json(static_cast<std::int64_t>(r.prov.memsize)));
-  o.emplace("delay_ms", util::Json(r.prov.delay_ms));
-  o.emplace("delay_jitter_ms", util::Json(r.prov.delay_jitter_ms));
-  o.emplace("timeout_ms", util::Json(r.prov.timeout_ms));
-  o.emplace("link_model", util::Json(r.prov.link_model));
-  o.emplace("link_shape", util::Json(r.prov.link_shape));
-  o.emplace("link_loss", util::Json(r.prov.link_loss));
-  o.emplace("topology", util::Json(r.prov.topology));
-  o.emplace("churn", util::Json(r.prov.churn));
-  o.emplace("ge_p", util::Json(r.prov.ge_p));
-  o.emplace("ge_r", util::Json(r.prov.ge_r));
-  o.emplace("ge_loss_good", util::Json(r.prov.ge_loss_good));
-  o.emplace("ge_loss_bad", util::Json(r.prov.ge_loss_bad));
-  o.emplace("sync_batch",
-            util::Json(static_cast<std::int64_t>(r.prov.sync_batch)));
-  o.emplace("sync_timeout_ms", util::Json(r.prov.sync_timeout_ms));
-  o.emplace("sync_retries",
-            util::Json(static_cast<std::int64_t>(r.prov.sync_retries)));
-  o.emplace("sync_pipeline",
-            util::Json(static_cast<std::int64_t>(r.prov.sync_pipeline)));
-  o.emplace("snapshot_gap",
-            util::Json(static_cast<std::int64_t>(r.prov.snapshot_gap)));
-  o.emplace("store", util::Json(r.prov.store));
-  o.emplace("retention",
-            util::Json(static_cast<std::int64_t>(r.prov.retention)));
-  o.emplace("verify_strategy", util::Json(r.prov.verify_strategy));
-  o.emplace("cpu_workers",
-            util::Json(static_cast<std::int64_t>(r.prov.cpu_workers)));
-  o.emplace("cpu_verify_per_sig_us",
-            util::Json(r.prov.cpu_verify_per_sig_us));
-  o.emplace("cpu_verify_batch_base_us",
-            util::Json(r.prov.cpu_verify_batch_base_us));
-  o.emplace("cpu_verify_batch_per_sig_us",
-            util::Json(r.prov.cpu_verify_batch_per_sig_us));
-  o.emplace("mode", util::Json(r.prov.mode));
-  o.emplace("concurrency",
-            util::Json(static_cast<std::int64_t>(r.prov.concurrency)));
-  o.emplace("arrival_rate_tps", util::Json(r.prov.arrival_rate_tps));
-  o.emplace("arrival", util::Json(r.prov.arrival));
-  o.emplace("client_population", util::Json(static_cast<std::int64_t>(
-                                     r.prov.client_population)));
-  o.emplace("admission", util::Json(r.prov.admission));
-  // Seeds are full-width 64-bit identifiers; util::Json numbers are doubles
-  // (exact only up to 2^53), so serialize them as decimal strings to keep
-  // the CSV/JSON emitters and the shard merge lossless for any seed.
-  o.emplace("seed", util::Json(std::to_string(r.prov.seed)));
-  o.emplace("base_seed", util::Json(std::to_string(r.prov.base_seed)));
-  o.emplace("warmup_s", util::Json(r.prov.warmup_s));
-  o.emplace("measure_s", util::Json(r.prov.measure_s));
-  o.emplace("offered", util::Json(r.prov.offered));
-  o.emplace("throughput_tps", util::Json(r.result.throughput_tps));
-  o.emplace("throughput_tps_ci95", util::Json(r.ci.throughput_tps));
-  o.emplace("latency_ms_mean", util::Json(r.result.latency_ms_mean));
-  o.emplace("latency_ms_mean_ci95", util::Json(r.ci.latency_ms_mean));
-  o.emplace("latency_ms_p50", util::Json(r.result.latency_ms_p50));
-  o.emplace("latency_ms_p50_ci95", util::Json(r.ci.latency_ms_p50));
-  o.emplace("latency_ms_p99", util::Json(r.result.latency_ms_p99));
-  o.emplace("latency_ms_p99_ci95", util::Json(r.ci.latency_ms_p99));
-  o.emplace("cgr_per_view", util::Json(r.result.cgr_per_view));
-  o.emplace("cgr_per_view_ci95", util::Json(r.ci.cgr_per_view));
-  o.emplace("cgr_per_block", util::Json(r.result.cgr_per_block));
-  o.emplace("cgr_per_block_ci95", util::Json(r.ci.cgr_per_block));
-  o.emplace("block_interval", util::Json(r.result.block_interval));
-  o.emplace("block_interval_ci95", util::Json(r.ci.block_interval));
-  o.emplace("measured_s", util::Json(r.result.measured_s));
-  o.emplace("latency_samples",
-            util::Json(static_cast<std::int64_t>(r.result.latency_samples)));
-  o.emplace("views", util::Json(static_cast<std::int64_t>(r.result.views)));
-  o.emplace("blocks_committed", util::Json(static_cast<std::int64_t>(
-                                    r.result.blocks_committed)));
-  o.emplace("blocks_received", util::Json(static_cast<std::int64_t>(
-                                   r.result.blocks_received)));
-  o.emplace("blocks_forked",
-            util::Json(static_cast<std::int64_t>(r.result.blocks_forked)));
-  o.emplace("timeouts",
-            util::Json(static_cast<std::int64_t>(r.result.timeouts)));
-  o.emplace("rejected",
-            util::Json(static_cast<std::int64_t>(r.result.rejected)));
-  o.emplace("net_bytes",
-            util::Json(static_cast<std::int64_t>(r.result.net_bytes)));
-  o.emplace("sync_requests",
-            util::Json(static_cast<std::int64_t>(r.result.sync_requests)));
-  o.emplace("sync_blocks",
-            util::Json(static_cast<std::int64_t>(r.result.sync_blocks)));
-  o.emplace("sync_bytes",
-            util::Json(static_cast<std::int64_t>(r.result.sync_bytes)));
-  o.emplace("certs_verified",
-            util::Json(static_cast<std::int64_t>(r.result.certs_verified)));
-  o.emplace("certs_rejected",
-            util::Json(static_cast<std::int64_t>(r.result.certs_rejected)));
-  o.emplace("recovery_ms", util::Json(r.result.recovery_ms));
-  o.emplace("disk_bytes_written",
-            util::Json(static_cast<std::int64_t>(r.result.disk_bytes_written)));
-  o.emplace("write_amplification", util::Json(r.result.write_amplification));
-  o.emplace("store_reads",
-            util::Json(static_cast<std::int64_t>(r.result.store_reads)));
-  o.emplace("snapshot_bytes",
-            util::Json(static_cast<std::int64_t>(r.result.snapshot_bytes)));
-  o.emplace("snapshot_chunks",
-            util::Json(static_cast<std::int64_t>(r.result.snapshot_chunks)));
-  o.emplace(
-      "snapshots_installed",
-      util::Json(static_cast<std::int64_t>(r.result.snapshots_installed)));
-  o.emplace(
-      "snapshots_rejected",
-      util::Json(static_cast<std::int64_t>(r.result.snapshots_rejected)));
-  o.emplace("restarts",
-            util::Json(static_cast<std::int64_t>(r.result.restarts)));
-  o.emplace("offered_tps", util::Json(r.result.offered_tps));
-  o.emplace("hist_p50_ms", util::Json(r.result.hist_p50_ms));
-  o.emplace("hist_p99_ms", util::Json(r.result.hist_p99_ms));
-  o.emplace("hist_p999_ms", util::Json(r.result.hist_p999_ms));
-  o.emplace("mem_admitted",
-            util::Json(static_cast<std::int64_t>(r.result.mem_admitted)));
-  o.emplace("mem_rejected",
-            util::Json(static_cast<std::int64_t>(r.result.mem_rejected)));
-  o.emplace("latency_hist", util::Json(r.result.latency_hist));
-  o.emplace("commit_share", util::Json(r.result.commit_share));
-  o.emplace("chain_quality", util::Json(r.result.chain_quality));
-  o.emplace("commit_share_max", util::Json(r.result.commit_share_max));
-  o.emplace("proposer_gini", util::Json(r.result.proposer_gini));
-  o.emplace("consistent", util::Json(r.result.consistent));
-  o.emplace("safety_violations", util::Json(static_cast<std::int64_t>(
-                                     r.result.safety_violations)));
+  for_each_column(r, [&](std::string_view name, const auto& field) {
+    o.emplace(std::string(name), json_cell(field));
+  });
   return util::Json(std::move(o));
 }
 
@@ -619,130 +439,11 @@ Record record_from_json(const util::Json& j) {
     throw std::invalid_argument("report record must be a JSON object");
   }
   Record r;
-  r.bench = j.get_string("bench", "");
-  r.artifact = j.get_string("artifact", "");
-  r.series = j.get_string("series", "");
-  r.kind = j.get_string("kind", "run");
-  r.spec_index = static_cast<std::uint32_t>(j.get_int("spec_index", 0));
-  r.rep = static_cast<std::uint32_t>(j.get_int("rep", 0));
-  r.reps = static_cast<std::uint32_t>(j.get_int("reps", 1));
-  r.prov.protocol = j.get_string("protocol", "");
-  r.prov.n_replicas = static_cast<std::uint32_t>(j.get_int("n_replicas", 0));
-  r.prov.byz_no = static_cast<std::uint32_t>(j.get_int("byz_no", 0));
-  r.prov.strategy = j.get_string("strategy", "");
-  r.prov.election = j.get_string("election", "");
-  r.prov.bsize = static_cast<std::uint32_t>(j.get_int("bsize", 0));
-  r.prov.psize = static_cast<std::uint32_t>(j.get_int("psize", 0));
-  r.prov.memsize = static_cast<std::uint32_t>(j.get_int("memsize", 0));
-  r.prov.delay_ms = j.get_number("delay_ms", 0);
-  r.prov.delay_jitter_ms = j.get_number("delay_jitter_ms", 0);
-  r.prov.timeout_ms = j.get_number("timeout_ms", 0);
-  r.prov.link_model = j.get_string("link_model", "normal");
-  r.prov.link_shape = j.get_number("link_shape", 0);
-  r.prov.link_loss = j.get_number("link_loss", 0);
-  r.prov.topology = j.get_string("topology", "uniform");
-  r.prov.churn = j.get_string("churn", "");
-  r.prov.ge_p = j.get_number("ge_p", 0);
-  r.prov.ge_r = j.get_number("ge_r", 0);
-  r.prov.ge_loss_good = j.get_number("ge_loss_good", 0);
-  r.prov.ge_loss_bad = j.get_number("ge_loss_bad", 1.0);
-  r.prov.sync_batch = static_cast<std::uint32_t>(j.get_int("sync_batch", 1));
-  r.prov.sync_timeout_ms = j.get_number("sync_timeout_ms", 500);
-  r.prov.sync_retries =
-      static_cast<std::uint32_t>(j.get_int("sync_retries", 3));
-  r.prov.sync_pipeline =
-      static_cast<std::uint32_t>(j.get_int("sync_pipeline", 1));
-  r.prov.snapshot_gap =
-      static_cast<std::uint32_t>(j.get_int("snapshot_gap", 0));
-  r.prov.store = j.get_string("store", "memory");
-  r.prov.retention = static_cast<std::uint32_t>(j.get_int("retention", 0));
-  r.prov.verify_strategy = j.get_string("verify_strategy", "eager");
-  r.prov.cpu_workers = static_cast<std::uint32_t>(j.get_int("cpu_workers", 1));
-  r.prov.cpu_verify_per_sig_us = j.get_number("cpu_verify_per_sig_us", 0);
-  r.prov.cpu_verify_batch_base_us =
-      j.get_number("cpu_verify_batch_base_us", 100);
-  r.prov.cpu_verify_batch_per_sig_us =
-      j.get_number("cpu_verify_batch_per_sig_us", 2);
-  r.prov.mode = j.get_string("mode", "closed");
-  r.prov.concurrency = static_cast<std::uint32_t>(j.get_int("concurrency", 0));
-  r.prov.arrival_rate_tps = j.get_number("arrival_rate_tps", 0);
-  r.prov.arrival = j.get_string("arrival", "poisson");
-  r.prov.client_population =
-      static_cast<std::uint64_t>(j.get_int("client_population", 0));
-  r.prov.admission = j.get_string("admission", "drop");
-  r.prov.seed = get_u64(j, "seed");
-  r.prov.base_seed = get_u64(j, "base_seed");
-  r.prov.warmup_s = j.get_number("warmup_s", 0);
-  r.prov.measure_s = j.get_number("measure_s", 0);
-  r.prov.offered = j.get_number("offered", 0);
-  r.result.throughput_tps = j.get_number("throughput_tps", 0);
-  r.ci.throughput_tps = j.get_number("throughput_tps_ci95", 0);
-  r.result.latency_ms_mean = j.get_number("latency_ms_mean", 0);
-  r.ci.latency_ms_mean = j.get_number("latency_ms_mean_ci95", 0);
-  r.result.latency_ms_p50 = j.get_number("latency_ms_p50", 0);
-  r.ci.latency_ms_p50 = j.get_number("latency_ms_p50_ci95", 0);
-  r.result.latency_ms_p99 = j.get_number("latency_ms_p99", 0);
-  r.ci.latency_ms_p99 = j.get_number("latency_ms_p99_ci95", 0);
-  r.result.cgr_per_view = j.get_number("cgr_per_view", 0);
-  r.ci.cgr_per_view = j.get_number("cgr_per_view_ci95", 0);
-  r.result.cgr_per_block = j.get_number("cgr_per_block", 0);
-  r.ci.cgr_per_block = j.get_number("cgr_per_block_ci95", 0);
-  r.result.block_interval = j.get_number("block_interval", 0);
-  r.ci.block_interval = j.get_number("block_interval_ci95", 0);
-  r.result.measured_s = j.get_number("measured_s", 0);
-  r.result.latency_samples =
-      static_cast<std::uint64_t>(j.get_int("latency_samples", 0));
-  r.result.views = static_cast<std::uint64_t>(j.get_int("views", 0));
-  r.result.blocks_committed =
-      static_cast<std::uint64_t>(j.get_int("blocks_committed", 0));
-  r.result.blocks_received =
-      static_cast<std::uint64_t>(j.get_int("blocks_received", 0));
-  r.result.blocks_forked =
-      static_cast<std::uint64_t>(j.get_int("blocks_forked", 0));
-  r.result.timeouts = static_cast<std::uint64_t>(j.get_int("timeouts", 0));
-  r.result.rejected = static_cast<std::uint64_t>(j.get_int("rejected", 0));
-  r.result.net_bytes = static_cast<std::uint64_t>(j.get_int("net_bytes", 0));
-  r.result.sync_requests =
-      static_cast<std::uint64_t>(j.get_int("sync_requests", 0));
-  r.result.sync_blocks =
-      static_cast<std::uint64_t>(j.get_int("sync_blocks", 0));
-  r.result.sync_bytes =
-      static_cast<std::uint64_t>(j.get_int("sync_bytes", 0));
-  r.result.certs_verified =
-      static_cast<std::uint64_t>(j.get_int("certs_verified", 0));
-  r.result.certs_rejected =
-      static_cast<std::uint64_t>(j.get_int("certs_rejected", 0));
-  r.result.recovery_ms = j.get_number("recovery_ms", 0);
-  r.result.disk_bytes_written =
-      static_cast<std::uint64_t>(j.get_int("disk_bytes_written", 0));
-  r.result.write_amplification = j.get_number("write_amplification", 0);
-  r.result.store_reads =
-      static_cast<std::uint64_t>(j.get_int("store_reads", 0));
-  r.result.snapshot_bytes =
-      static_cast<std::uint64_t>(j.get_int("snapshot_bytes", 0));
-  r.result.snapshot_chunks =
-      static_cast<std::uint64_t>(j.get_int("snapshot_chunks", 0));
-  r.result.snapshots_installed =
-      static_cast<std::uint64_t>(j.get_int("snapshots_installed", 0));
-  r.result.snapshots_rejected =
-      static_cast<std::uint64_t>(j.get_int("snapshots_rejected", 0));
-  r.result.restarts = static_cast<std::uint64_t>(j.get_int("restarts", 0));
-  r.result.offered_tps = j.get_number("offered_tps", 0);
-  r.result.hist_p50_ms = j.get_number("hist_p50_ms", 0);
-  r.result.hist_p99_ms = j.get_number("hist_p99_ms", 0);
-  r.result.hist_p999_ms = j.get_number("hist_p999_ms", 0);
-  r.result.mem_admitted =
-      static_cast<std::uint64_t>(j.get_int("mem_admitted", 0));
-  r.result.mem_rejected =
-      static_cast<std::uint64_t>(j.get_int("mem_rejected", 0));
-  r.result.latency_hist = j.get_string("latency_hist", "");
-  r.result.commit_share = j.get_string("commit_share", "");
-  r.result.chain_quality = j.get_number("chain_quality", 0);
-  r.result.commit_share_max = j.get_number("commit_share_max", 0);
-  r.result.proposer_gini = j.get_number("proposer_gini", 0);
-  r.result.consistent = j.get_bool("consistent", true);
-  r.result.safety_violations =
-      static_cast<std::uint64_t>(j.get_int("safety_violations", 0));
+  for_each_column(r, [&](std::string_view name, auto&& field) {
+    if (const util::Json* v = j.find(name)) {
+      decode_cell(*v, std::forward<decltype(field)>(field));
+    }
+  });
   return r;
 }
 
@@ -791,13 +492,6 @@ void ArtifactWriter::add(const std::string& artifact, const Record& r) {
   records_[artifact].push_back(r);
 }
 
-void ArtifactWriter::add_table(const std::string& artifact,
-                               std::vector<std::string> headers,
-                               std::vector<std::vector<std::string>> rows) {
-  if (!enabled()) return;
-  tables_[artifact] = Table{std::move(headers), std::move(rows)};
-}
-
 namespace {
 
 void write_file(const std::filesystem::path& path, const std::string& body) {
@@ -806,41 +500,6 @@ void write_file(const std::filesystem::path& path, const std::string& body) {
     throw std::runtime_error("cannot write artifact file: " + path.string());
   }
   out << body;
-}
-
-std::string table_csv(const std::vector<std::string>& headers,
-                      const std::vector<std::vector<std::string>>& rows) {
-  std::string out;
-  for (std::size_t i = 0; i < headers.size(); ++i) {
-    if (i) out += ',';
-    out += csv_escape(headers[i]);
-  }
-  out += '\n';
-  for (const auto& row : rows) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out += ',';
-      out += csv_escape(row[i]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-std::string table_json(const std::vector<std::string>& headers,
-                       const std::vector<std::vector<std::string>>& rows) {
-  util::Json::Array hs;
-  for (const std::string& h : headers) hs.emplace_back(h);
-  util::Json::Array rs;
-  for (const auto& row : rows) {
-    util::Json::Array cells;
-    for (const std::string& c : row) cells.emplace_back(c);
-    rs.emplace_back(std::move(cells));
-  }
-  util::Json::Object doc;
-  doc.emplace("headers", util::Json(std::move(hs)));
-  doc.emplace("rows", util::Json(std::move(rs)));
-  doc.emplace("schema", util::Json(kTableSchema));
-  return util::Json(std::move(doc)).dump() + "\n";
 }
 
 }  // namespace
@@ -861,44 +520,29 @@ std::vector<ArtifactFile> ArtifactWriter::finish() {
   };
 
   util::Json::Array manifest_artifacts;
-  const auto emit = [&](const std::string& artifact, std::size_t n_records,
-                        const auto& body_of) {
+  // std::map iteration = deterministic alphabetical artifact order, the
+  // same order merge_records groups by — keeps merged output byte-identical.
+  for (const auto& [artifact, records] : records_) {
     util::Json::Array files;
     for (const std::string& format : formats_) {
+      CsvSink csv;
+      JsonSink json;
+      ResultSink& sink = format == "csv" ? static_cast<ResultSink&>(csv) : json;
+      for (const Record& r : records) sink.add(r);
       const std::string name = filename(artifact, format);
-      write_file(dir / name, body_of(format));
-      written.push_back(ArtifactFile{artifact, format, name, n_records});
+      write_file(dir / name, sink.serialize());
+      written.push_back(ArtifactFile{artifact, format, name, records.size()});
       util::Json::Object f;
       f.emplace("format", util::Json(format));
       f.emplace("path", util::Json(name));
-      f.emplace("records", util::Json(static_cast<std::int64_t>(n_records)));
+      f.emplace("records",
+                util::Json(static_cast<std::int64_t>(records.size())));
       files.emplace_back(std::move(f));
     }
     util::Json::Object a;
     a.emplace("files", util::Json(std::move(files)));
     a.emplace("name", util::Json(artifact));
     manifest_artifacts.emplace_back(std::move(a));
-  };
-
-  // std::map iteration = deterministic alphabetical artifact order, the
-  // same order merge_records groups by — keeps merged output byte-identical.
-  for (const auto& [artifact, records] : records_) {
-    emit(artifact, records.size(), [&](const std::string& format) {
-      if (format == "csv") {
-        CsvSink sink;
-        for (const Record& r : records) sink.add(r);
-        return sink.serialize();
-      }
-      JsonSink sink;
-      for (const Record& r : records) sink.add(r);
-      return sink.serialize();
-    });
-  }
-  for (const auto& [artifact, table] : tables_) {
-    emit(artifact, table.rows.size(), [&](const std::string& format) {
-      return format == "csv" ? table_csv(table.headers, table.rows)
-                             : table_json(table.headers, table.rows);
-    });
   }
 
   util::Json::Object manifest;

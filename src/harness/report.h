@@ -71,7 +71,7 @@ struct Provenance {
   double cpu_verify_per_sig_us = 0;
   double cpu_verify_batch_base_us = 100;
   double cpu_verify_batch_per_sig_us = 2;
-  std::string mode;  ///< "closed" | "open"
+  std::string mode = "closed";  ///< "closed" | "open"
   std::uint32_t concurrency = 0;
   double arrival_rate_tps = 0;
   // Open-loop load engine + mempool admission provenance (client/workload.h
@@ -112,12 +112,12 @@ struct CiSet {
 /// bucket index, prov.offered the bucket start in seconds,
 /// result.throughput_tps the committed-tx rate inside the bucket, and
 /// result.measured_s the bucket width — flat rows that survive the shard
-/// merge, unlike the free-form side tables they replace.
+/// merge. A member missing from a JSON record decodes to its value here.
 struct Record {
   std::string bench;     ///< bench id, e.g. "fig12_scalability"
   std::string artifact;  ///< figure/table name; keys the artifact file
   std::string series;    ///< series label, e.g. "HS-b400"
-  std::string kind;      ///< "run" | "aggregate"
+  std::string kind = "run";  ///< "run" | "aggregate" | "timeline"
   std::uint32_t spec_index = 0;  ///< position in the bench's spec grid
   std::uint32_t rep = 0;         ///< repetition (0 on aggregate rows)
   std::uint32_t reps = 1;        ///< repetitions behind this row's spec
@@ -134,9 +134,10 @@ Record make_run_record(const std::string& bench, const std::string& artifact,
                        std::uint32_t reps, const RunResult& result);
 
 /// Fold `results` (rep order, rep r under seed base + r) into an aggregate
-/// row. Statistics go through the same RunningStats::merge path as
-/// harness::Aggregate, so a row regenerated from merged shard files is
-/// bit-identical to the one the unsharded run emits.
+/// row, each metric by its Fold rule in run_metrics(). Statistics go
+/// through the same RunningStats::merge path as harness::Aggregate, so a
+/// row regenerated from merged shard files is bit-identical to the one
+/// the unsharded run emits.
 Record make_aggregate_record(const std::string& bench,
                              const std::string& artifact,
                              const std::string& series,
@@ -144,9 +145,8 @@ Record make_aggregate_record(const std::string& bench,
                              const std::vector<RunResult>& results);
 
 /// One kind == "timeline" row per throughput bucket of `out` (empty when
-/// the run captured no timeline). Persisting buckets as records — instead
-/// of a free-form side table — lets sharded runs carry their timelines
-/// through bench_merge bit-identically.
+/// the run captured no timeline). Persisting buckets as records lets
+/// sharded runs carry their timelines through bench_merge bit-identically.
 std::vector<Record> make_timeline_records(const std::string& bench,
                                           const std::string& artifact,
                                           const std::string& series,
@@ -156,7 +156,9 @@ std::vector<Record> make_timeline_records(const std::string& bench,
 
 // --- serialization ---------------------------------------------------------
 
-/// The fixed CSV column order (also the JSON member set).
+/// The fixed CSV column order (also the JSON member set): the record's
+/// keys, the provenance, then run_metrics() with a `_ci95` column after
+/// each kMeanCi metric.
 const std::vector<std::string>& csv_columns();
 std::string csv_header();
 std::string csv_row(const Record& r);
@@ -222,11 +224,6 @@ class ArtifactWriter {
 
   [[nodiscard]] bool enabled() const { return !out_dir_.empty(); }
   void add(const std::string& artifact, const Record& r);
-  /// Free-form side table (e.g. Fig. 15 timelines): CSV + a JSON document
-  /// with {"headers":[...],"rows":[[...]]}.
-  void add_table(const std::string& artifact,
-                 std::vector<std::string> headers,
-                 std::vector<std::vector<std::string>> rows);
 
   /// Write every artifact file and the manifest; returns what was written
   /// (empty when disabled).
@@ -237,13 +234,7 @@ class ArtifactWriter {
   std::string bench_;
   std::vector<std::string> formats_;
   Shard shard_;
-  std::vector<std::string> order_;  ///< artifact names in first-add order
   std::map<std::string, std::vector<Record>> records_;
-  struct Table {
-    std::vector<std::string> headers;
-    std::vector<std::vector<std::string>> rows;
-  };
-  std::map<std::string, Table> tables_;
 };
 
 // --- shard merge -----------------------------------------------------------

@@ -223,21 +223,4 @@ GridRun ParallelRunner::run_repeated_grid(const std::vector<RunSpec>& grid,
   return out;
 }
 
-std::vector<SweepPoint> sweep_closed_loop(
-    ParallelRunner& runner, const core::Config& cfg,
-    const client::WorkloadConfig& base_wl,
-    const std::vector<std::uint32_t>& concurrencies, const RunOptions& opts) {
-  const auto specs = closed_loop_specs(cfg, base_wl, concurrencies, opts);
-  return to_sweep_points(specs, runner.run(specs));
-}
-
-std::vector<SweepPoint> sweep_open_loop(ParallelRunner& runner,
-                                        const core::Config& cfg,
-                                        const client::WorkloadConfig& base_wl,
-                                        const std::vector<double>& rates_tps,
-                                        const RunOptions& opts) {
-  const auto specs = open_loop_specs(cfg, base_wl, rates_tps, opts);
-  return to_sweep_points(specs, runner.run(specs));
-}
-
 }  // namespace bamboo::harness

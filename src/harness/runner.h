@@ -138,19 +138,4 @@ class ParallelRunner {
   unsigned threads_;
 };
 
-/// Closed-loop sweep through a runner: the same points as
-/// sweep_closed_loop(cfg, ...), executed in parallel, bit-identical output.
-std::vector<SweepPoint> sweep_closed_loop(
-    ParallelRunner& runner, const core::Config& cfg,
-    const client::WorkloadConfig& base_wl,
-    const std::vector<std::uint32_t>& concurrencies,
-    const RunOptions& opts = {});
-
-/// Open-loop sweep through a runner.
-std::vector<SweepPoint> sweep_open_loop(ParallelRunner& runner,
-                                        const core::Config& cfg,
-                                        const client::WorkloadConfig& base_wl,
-                                        const std::vector<double>& rates_tps,
-                                        const RunOptions& opts = {});
-
 }  // namespace bamboo::harness

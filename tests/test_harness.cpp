@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "client/workload.h"
 #include "harness/cluster.h"
@@ -198,15 +200,15 @@ TEST(Workload, WatchdogAbandonsStuckSessions) {
 }
 
 // ---------------------------------------------------------------------------
-// run_experiment metrics
+// execute() metrics
 // ---------------------------------------------------------------------------
 
 TEST(Experiment, MetricsAreInternallyConsistent) {
-  core::Config cfg;
-  cfg.bsize = 100;
-  client::WorkloadConfig wl;
-  wl.concurrency = 64;
-  const auto r = harness::run_experiment(cfg, wl, {0.2, 0.6});
+  harness::RunSpec spec;
+  spec.cfg.bsize = 100;
+  spec.workload.concurrency = 64;
+  spec.opts = {0.2, 0.6};
+  const auto r = harness::execute(spec);
   EXPECT_NEAR(r.measured_s, 0.6, 1e-9);
   EXPECT_GT(r.throughput_tps, 0);
   EXPECT_GT(r.latency_samples, 0u);
@@ -224,19 +226,21 @@ TEST(Experiment, SweepsReturnOnePointPerLevel) {
   core::Config cfg;
   cfg.bsize = 50;
   client::WorkloadConfig wl;
-  const auto closed =
-      harness::sweep_closed_loop(cfg, wl, {8, 32}, {0.1, 0.3});
-  ASSERT_EQ(closed.size(), 2u);
-  EXPECT_DOUBLE_EQ(closed[0].offered, 8);
-  EXPECT_DOUBLE_EQ(closed[1].offered, 32);
+  const auto closed_specs =
+      harness::closed_loop_specs(cfg, wl, {8, 32}, {0.1, 0.3});
+  ASSERT_EQ(closed_specs.size(), 2u);
+  EXPECT_DOUBLE_EQ(closed_specs[0].offered, 8);
+  EXPECT_DOUBLE_EQ(closed_specs[1].offered, 32);
   // More clients => at least as much throughput below saturation.
-  EXPECT_GE(closed[1].result.throughput_tps,
-            closed[0].result.throughput_tps * 0.9);
+  EXPECT_GE(harness::execute(closed_specs[1]).throughput_tps,
+            harness::execute(closed_specs[0]).throughput_tps * 0.9);
 
-  const auto open =
-      harness::sweep_open_loop(cfg, wl, {500.0, 2000.0}, {0.1, 0.3});
-  ASSERT_EQ(open.size(), 2u);
-  EXPECT_GT(open[1].result.throughput_tps, open[0].result.throughput_tps);
+  const auto open_specs =
+      harness::open_loop_specs(cfg, wl, {500.0, 2000.0}, {0.1, 0.3});
+  ASSERT_EQ(open_specs.size(), 2u);
+  EXPECT_DOUBLE_EQ(open_specs[1].offered, 2000.0);
+  EXPECT_GT(harness::execute(open_specs[1]).throughput_tps,
+            harness::execute(open_specs[0]).throughput_tps);
 }
 
 TEST(Experiment, TimelineBucketsCoverHorizon) {
@@ -245,9 +249,9 @@ TEST(Experiment, TimelineBucketsCoverHorizon) {
   client::WorkloadConfig wl;
   wl.mode = client::LoadMode::kOpenLoop;
   wl.arrival_rate_tps = 2000;
-  const auto t = harness::run_responsiveness_timeline(
+  const auto t = harness::execute_full(harness::timeline_spec(
       cfg, wl, /*horizon=*/1.0, /*bucket=*/0.25, /*fluct_start=*/10,
-      /*fluct_end=*/11, 0, 0, /*crash_at=*/-1, 0);
+      /*fluct_end=*/11, 0, 0, /*crash_at=*/-1, 0));
   ASSERT_EQ(t.tx_per_s.size(), 4u);
   ASSERT_EQ(t.bucket_start_s.size(), 4u);
   EXPECT_DOUBLE_EQ(t.bucket_start_s[3], 0.75);
@@ -255,7 +259,86 @@ TEST(Experiment, TimelineBucketsCoverHorizon) {
   for (std::size_t i = 1; i < t.tx_per_s.size(); ++i) {
     EXPECT_NEAR(t.tx_per_s[i], 2000.0, 600.0) << "bucket " << i;
   }
-  EXPECT_TRUE(t.summary.consistent);
+  EXPECT_TRUE(t.result.consistent);
+}
+
+// ---------------------------------------------------------------------------
+// Window counters: every one is a delta of a total that never decreases
+// ---------------------------------------------------------------------------
+
+/// A static-leader cluster whose replica 3 is partitioned away (and times
+/// out) in [0.1 s, 0.9 s), then loses its place in the honest set at
+/// 1.2 s through `fault`; the window [1 s, 2 s) straddles the fault.
+harness::RunSpec lone_timeout_spec(const std::string& fault) {
+  harness::RunSpec spec;
+  spec.cfg.protocol = "hotstuff";
+  spec.cfg.election = "static:0";
+  spec.cfg.timeout = sim::milliseconds(50);
+  spec.cfg.churn = "partition@0.1s:groups=3|0-1-2;heal@0.9s;" + fault;
+  spec.opts = {1.0, 1.0};
+  return spec;
+}
+
+TEST(WindowCounters, TimeoutsSurviveCrashSilenceAndRestart) {
+  for (const std::string fault :
+       {"crash@1.2s:replica=3", "crash-restart@1.2s:replica=3:for=0.01s",
+        "silence@1.2s:replica=3"}) {
+    const harness::RunResult r = harness::execute(lone_timeout_spec(fault));
+    // Replica 3 timed out before the window only; its count must neither
+    // vanish from the total (the delta would wrap) nor land in the window.
+    EXPECT_EQ(r.timeouts, 0u) << fault;
+    EXPECT_GT(r.blocks_committed, 0u) << fault;
+  }
+}
+
+TEST(WindowCounters, TotalTimeoutsNeverDecrease) {
+  for (const std::string fault :
+       {"crash@1.2s:replica=3", "crash-restart@1.2s:replica=3:for=0.01s",
+        "silence@1.2s:replica=3"}) {
+    const harness::RunSpec spec = lone_timeout_spec(fault);
+    harness::Cluster cluster(spec.cfg);
+    harness::install_churn(cluster,
+                           harness::effective_churn(spec.faults, spec.cfg));
+    cluster.start();
+    std::uint64_t last = 0;
+    for (int step = 0; step < 40; ++step) {
+      cluster.simulator().run_for(sim::milliseconds(50));
+      const std::uint64_t now = cluster.total_timeouts();
+      EXPECT_GE(now, last) << fault << " at step " << step;
+      last = now;
+    }
+    EXPECT_GT(last, 0u) << fault;
+  }
+}
+
+TEST(WindowCounters, ClientRejectionsCountOnlyInsideTheWindow) {
+  harness::RunSpec spec;
+  spec.cfg.memsize = 2000;
+  spec.workload.mode = client::LoadMode::kOpenLoop;
+  spec.workload.arrival_rate_tps = 200000;
+  spec.opts = {1.0, 0.5};
+  const harness::RunResult r = harness::execute(spec);
+  // Overload: the mempool refuses a large share of the window's load. A
+  // whole-run count would also include every warm-up rejection and
+  // exceed what the clients issued inside the window.
+  const double issued = r.offered_tps * r.measured_s;
+  EXPECT_GT(r.mem_rejected, 0u);
+  EXPECT_GT(r.rejected, 0u);
+  EXPECT_LT(static_cast<double>(r.rejected), issued);
+}
+
+TEST(WindowCounters, CrashRestartOfTheObserverIsRefused) {
+  harness::RunSpec spec;
+  spec.cfg.churn = "crash-restart@1.2s:replica=0:for=0.05s";
+  spec.opts = {1.0, 1.0};
+  try {
+    (void)harness::execute(spec);
+    ADD_FAILURE() << "crash-restart of replica 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("metrics observer"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

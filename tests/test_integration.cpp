@@ -316,12 +316,12 @@ TEST(Recovery, HotStuffSurvivesNetworkFluctuation) {
   wl.mode = client::LoadMode::kOpenLoop;
   wl.arrival_rate_tps = 5000;
 
-  const auto timeline = harness::run_responsiveness_timeline(
+  const auto timeline = harness::execute_full(harness::timeline_spec(
       cfg, wl, /*horizon_s=*/3.0, /*bucket_s=*/0.5,
       /*fluct_start_s=*/0.5, /*fluct_end_s=*/1.5, sim::milliseconds(10),
-      sim::milliseconds(100), /*crash_at_s=*/-1, 0);
+      sim::milliseconds(100), /*crash_at_s=*/-1, 0));
 
-  EXPECT_TRUE(timeline.summary.consistent);
+  EXPECT_TRUE(timeline.result.consistent);
   // Throughput must resume after the fluctuation window ([2.0s, 3.0s)).
   ASSERT_GE(timeline.tx_per_s.size(), 6u);
   EXPECT_GT(timeline.tx_per_s[5], 1000.0);

@@ -159,14 +159,11 @@ TEST(Mempool, ParseAdmissionAcceptsTheThreePolicies) {
 }
 
 TEST(Mempool, ParseAdmissionRejectsHalfSpecifiedSpecs) {
-  EXPECT_THROW(mempool::parse_admission("backoff"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("backoff:"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("backoff:0"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("priority"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("priority:1"), std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("priority:-0.1"),
-               std::invalid_argument);
-  EXPECT_THROW(mempool::parse_admission("fifo"), std::invalid_argument);
+  for (const char* spec : {"backoff", "backoff:", "backoff:0", "priority",
+                           "priority:1", "priority:-0.1", "fifo"}) {
+    EXPECT_THROW((void)mempool::parse_admission(spec), std::invalid_argument)
+        << spec;
+  }
 }
 
 TEST(Mempool, PriorityReservesRecycleHeadroom) {

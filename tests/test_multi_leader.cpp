@@ -109,7 +109,8 @@ struct PmHarness {
             [this](types::View v) { timeouts_broadcast.push_back(v); },
             [this](types::View v, pacemaker::AdvanceReason r) {
               entered.emplace_back(v, r);
-            }});
+            },
+            /*on_slot_stuck=*/{}});
   }
 };
 

@@ -10,11 +10,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/report.h"
+#include "util/histogram.h"
 #include "util/json.h"
 
 #ifndef BAMBOO_GOLDEN_DIR
@@ -90,6 +92,143 @@ std::vector<Record> fixture_records() {
   return records;
 }
 
+// The all-fields fixture: every Provenance and RunResult field holds a
+// distinct, non-default value, so a swapped column or a broken aggregate
+// rule shows up as a byte difference in report_full.{csv,json}.
+harness::RunSpec full_spec() {
+  harness::RunSpec spec;
+  spec.cfg.protocol = "streamlet";
+  spec.cfg.n_replicas = 7;
+  spec.cfg.byz_no = 2;
+  spec.cfg.strategy = "forking";
+  spec.cfg.election = "static:3";
+  spec.cfg.bsize = 256;
+  spec.cfg.psize = 64;
+  spec.cfg.memsize = 5000;
+  spec.cfg.delay = sim::from_milliseconds(2.5);
+  spec.cfg.delay_jitter = sim::from_milliseconds(0.75);
+  spec.cfg.timeout = sim::milliseconds(150);
+  spec.cfg.link_model = "pareto";
+  spec.cfg.link_shape = 1.5;
+  spec.cfg.link_loss = 0.01;
+  spec.cfg.topology = "wan";
+  spec.cfg.churn =
+      "degrade@2s:link=0-3:+40ms;partition@4s:groups=0-1|2-3;heal@6s";
+  spec.cfg.ge_p = 0.05;
+  spec.cfg.ge_r = 0.3;
+  spec.cfg.ge_loss_good = 0.001;
+  spec.cfg.ge_loss_bad = 0.6;
+  spec.cfg.sync_batch = 8;
+  spec.cfg.sync_timeout = sim::milliseconds(250);
+  spec.cfg.sync_retries = 5;
+  spec.cfg.sync_pipeline = 4;
+  spec.cfg.snapshot_gap = 64;
+  spec.cfg.store = "file";
+  spec.cfg.retention = 128;
+  spec.cfg.verify_strategy = "batch";
+  spec.cfg.cpu_workers = 3;
+  spec.cfg.cpu_verify_per_sig = sim::microseconds(12);
+  spec.cfg.cpu_verify_batch_base = sim::microseconds(80);
+  spec.cfg.cpu_verify_batch_per_sig = sim::microseconds(3);
+  spec.cfg.admission = "priority";
+  spec.cfg.seed = 9007199254740993ull;  // 2^53 + 1
+  spec.workload.mode = client::LoadMode::kOpenLoop;
+  spec.workload.concurrency = 96;
+  spec.workload.arrival_rate_tps = 2500.25;
+  spec.workload.arrival = "bursty";
+  spec.workload.client_population = 100000;
+  spec.opts.warmup_s = 0.75;
+  spec.opts.measure_s = 2.25;
+  spec.offered = 2400.5;
+  spec.timeline_bucket_s = 0.125;
+  return spec;
+}
+
+harness::RunResult full_result(int rep) {
+  harness::RunResult r;
+  const double d = rep;
+  const auto u = static_cast<std::uint64_t>(rep);
+  r.throughput_tps = 41250.5 + 250 * d;
+  r.latency_ms_mean = 31.25 + 2 * d;
+  r.latency_ms_p50 = 29.5 + 1.5 * d;
+  r.latency_ms_p99 = 77.75 - d;
+  r.cgr_per_view = 0.625 + 0.0625 * d;
+  r.cgr_per_block = 0.8125 - 0.03125 * d;
+  r.block_interval = 2.5 + 0.25 * d;
+  // Three 0.2 s windows: sum / reps (0.20000000000000004), not a
+  // RunningStats mean (0.2).
+  r.measured_s = 0.2;
+  r.latency_samples = 5001 + 7 * u;
+  r.views = 311 + u;
+  r.blocks_committed = 297 + 2 * u;
+  r.blocks_received = 305 + 3 * u;
+  r.blocks_forked = 4 + u;
+  r.timeouts = 9 + 5 * u;
+  r.rejected = 1234 + 11 * u;
+  r.net_bytes = 987654321 + 1000 * u;
+  r.sync_requests = 17 + u;
+  r.sync_blocks = 23 + 2 * u;
+  r.sync_bytes = 45678 + 13 * u;
+  r.recovery_ms = rep == 1 ? 0.0 : 120.5 - 40 * d;  // no recovery in rep 1
+  r.certs_verified = 2222 + 3 * u;
+  r.certs_rejected = 6 + u;
+  r.disk_bytes_written = 765432 + 99 * u;
+  r.write_amplification = rep == 2 ? 0.0 : 0.8125 + 0.125 * d;
+  r.store_reads = 333 + u;
+  r.snapshot_bytes = 65536 + 512 * u;
+  r.snapshot_chunks = 19 + u;
+  r.snapshots_installed = 2 + 2 * u;
+  r.snapshots_rejected = 1 + u * u;
+  r.restarts = 3 + u;
+  r.offered_tps = 50000.25 + 125 * d;
+  util::LatencyHistogram hist;
+  for (double ms : {0.5 + d, 12.25, 40.0 + 3 * d, 250.75, 13.5 * (d + 1)}) {
+    hist.add(ms);
+  }
+  r.hist_p50_ms = hist.quantile(0.50);
+  r.hist_p99_ms = hist.quantile(0.99);
+  r.hist_p999_ms = hist.quantile(0.999);
+  r.latency_hist = hist.encode();
+  r.mem_admitted = 88888 + 17 * u;
+  r.mem_rejected = 4321 + 5 * u;
+  const std::map<types::NodeId, std::uint64_t> counts = {
+      {0, 40 + u}, {1, 35}, {3, 30 + 2 * u}, {5, 12 + u}, {6, 3}};
+  r.commit_share = harness::encode_commit_share(counts);
+  const harness::DemocracyScalars dem =
+      harness::democracy_scalars(counts, 7, 2);
+  r.chain_quality = dem.chain_quality;
+  r.commit_share_max = dem.commit_share_max;
+  r.proposer_gini = dem.proposer_gini;
+  r.consistent = rep != 2;
+  r.safety_violations = rep == 2 ? 3 : 0;
+  return r;
+}
+
+/// Three run rows, their aggregate and one timeline row, in the order
+/// merge_records emits them.
+std::vector<Record> full_records() {
+  const harness::RunSpec spec = full_spec();
+  const std::string bench = "fig,\"full\"";
+  std::vector<Record> records;
+  std::vector<harness::RunResult> results;
+  for (int rep = 0; rep < 3; ++rep) {
+    results.push_back(full_result(rep));
+    records.push_back(harness::report::make_run_record(
+        bench, "full_fields", "SL-full", 5, spec,
+        static_cast<std::uint32_t>(rep), 3, results.back()));
+  }
+  records.push_back(harness::report::make_aggregate_record(
+      bench, "full_fields", "SL-full", 5, spec, results));
+  harness::RunOutput out;
+  out.bucket_start_s = {1.375};
+  out.tx_per_s = {39875.5};
+  for (Record& r : harness::report::make_timeline_records(
+           bench, "full_fields", "SL-full", 5, spec, out)) {
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
 std::string read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in) << "missing fixture " << path
@@ -128,17 +267,77 @@ TEST(ReportGolden, JsonEmitterMatchesFixtureByteForByte) {
   check_golden("report.json", sink.serialize());
 }
 
+TEST(ReportGolden, FullFieldsCsvMatchesFixtureByteForByte) {
+  harness::report::CsvSink sink;
+  for (const Record& r : full_records()) sink.add(r);
+  check_golden("report_full.csv", sink.serialize());
+}
+
+TEST(ReportGolden, FullFieldsJsonMatchesFixtureByteForByte) {
+  harness::report::JsonSink sink;
+  for (const Record& r : full_records()) sink.add(r);
+  check_golden("report_full.json", sink.serialize());
+}
+
+TEST(ReportGolden, FullFieldsFixtureSetsEveryColumn) {
+  // Each column holds a non-default value in at least one fixture row, so
+  // no column of the all-fields fixture is vacuous.
+  const util::Json blank = harness::report::to_json(Record{});
+  std::vector<util::Json> rows;
+  for (const Record& r : full_records()) {
+    rows.push_back(harness::report::to_json(r));
+  }
+  for (const std::string& column : harness::report::csv_columns()) {
+    const util::Json* fallback = blank.find(column);
+    ASSERT_NE(fallback, nullptr) << column;
+    const bool set = std::any_of(rows.begin(), rows.end(), [&](const auto& j) {
+      const util::Json* v = j.find(column);
+      return v != nullptr && v->dump() != fallback->dump();
+    });
+    EXPECT_TRUE(set) << column << " holds its default in every row";
+  }
+}
+
+TEST(ReportSchema, FullFieldsJsonRoundTripIsLossless) {
+  const std::vector<Record> records = full_records();
+  harness::report::JsonSink sink;
+  for (const Record& r : records) sink.add(r);
+  const auto reparsed =
+      harness::report::records_from_json_text(sink.serialize());
+  ASSERT_EQ(reparsed.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(reparsed[i], records[i]) << "record " << i;
+  }
+}
+
+TEST(MergeRecords, RegeneratesTheFullFieldsRows) {
+  const std::vector<Record> records = full_records();
+  // Timeline first and runs reversed: merge must reorder and refold.
+  std::vector<Record> rows = {records[4], records[2], records[0],
+                              records[1]};
+  const std::vector<Record> merged = harness::report::merge_records(rows);
+  ASSERT_EQ(merged.size(), records.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i], records[i]) << "row " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Schema / round-trip
 // ---------------------------------------------------------------------------
 
 TEST(ReportSchema, CsvRowHasOneCellPerColumn) {
-  const std::string row =
-      harness::report::csv_row(fixture_records().front());
-  // Fixture values contain no embedded commas, so counting is exact.
-  const std::size_t cells =
-      static_cast<std::size_t>(std::count(row.begin(), row.end(), ',')) + 1;
-  EXPECT_EQ(cells, harness::report::csv_columns().size());
+  // Empty leading cells still take their place in the row.
+  Record blank = fixture_records().front();
+  blank.bench = blank.artifact = blank.series = "";
+  for (const Record& r : {fixture_records().front(), blank}) {
+    const std::string row = harness::report::csv_row(r);
+    // Fixture values contain no embedded commas, so counting is exact.
+    const std::size_t cells =
+        static_cast<std::size_t>(std::count(row.begin(), row.end(), ',')) +
+        1;
+    EXPECT_EQ(cells, harness::report::csv_columns().size());
+  }
   EXPECT_EQ(harness::report::csv_header(),
             [] {
               std::string joined;
@@ -160,6 +359,21 @@ TEST(ReportSchema, JsonRoundTripIsLossless) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(reparsed[i], records[i]) << "record " << i;
   }
+}
+
+TEST(ReportSchema, MissingMembersDecodeToDefaults) {
+  const Record decoded =
+      harness::report::record_from_json(util::Json::parse("{}"));
+  EXPECT_EQ(decoded, Record{});
+  EXPECT_EQ(decoded.kind, "run");
+  EXPECT_EQ(decoded.prov.mode, "closed");
+  EXPECT_EQ(decoded.prov.n_replicas, 4u);
+  // A member of the wrong JSON type is ignored the same way.
+  const Record typed = harness::report::record_from_json(
+      util::Json::parse(R"({"bsize":"many","seed":"12","rep":2})"));
+  EXPECT_EQ(typed.prov.bsize, Record{}.prov.bsize);
+  EXPECT_EQ(typed.prov.seed, 12u);
+  EXPECT_EQ(typed.rep, 2u);
 }
 
 TEST(ReportSchema, SingleRecordJsonRoundTrip) {
@@ -218,16 +432,12 @@ TEST(ArtifactWriter, WritesOneFilePerArtifactAndFormatPlusManifest) {
   harness::report::ArtifactWriter writer(tmp.path.string(), "fig12",
                                          {"csv", "json"});
   for (const Record& r : fixture_records()) writer.add("fig12", r);
-  writer.add_table("fig12.timeline", {"t_s", "ktx_s"},
-                   {{"0.0", "71.5"}, {"0.5", "72.0"}});
   const auto files = writer.finish();
 
-  // 2 formats x 2 artifacts + manifest.
-  ASSERT_EQ(files.size(), 5u);
+  // 2 formats x 1 artifact + manifest.
+  ASSERT_EQ(files.size(), 3u);
   EXPECT_TRUE(fs::exists(tmp.path / "fig12.csv"));
   EXPECT_TRUE(fs::exists(tmp.path / "fig12.json"));
-  EXPECT_TRUE(fs::exists(tmp.path / "fig12.timeline.csv"));
-  EXPECT_TRUE(fs::exists(tmp.path / "fig12.timeline.json"));
   EXPECT_TRUE(fs::exists(tmp.path / "manifest.json"));
 
   const util::Json manifest =
@@ -235,7 +445,7 @@ TEST(ArtifactWriter, WritesOneFilePerArtifactAndFormatPlusManifest) {
   EXPECT_EQ(manifest.get_string("bench", ""), "fig12");
   const util::Json* artifacts = manifest.find("artifacts");
   ASSERT_NE(artifacts, nullptr);
-  ASSERT_EQ(artifacts->as_array().size(), 2u);
+  ASSERT_EQ(artifacts->as_array().size(), 1u);
   EXPECT_EQ(artifacts->as_array()[0].get_string("name", ""), "fig12");
 
   // Records re-read from disk are the records that were written.

@@ -1,8 +1,8 @@
 // Tests for the parallel experiment engine: RunSpec/execute determinism,
 // ParallelRunner thread-count invariance (a T-thread sweep must be
-// bit-identical to the sequential one), multi-seed aggregation, the
-// runner-based sweep overloads, and cross-process sharding (partition
-// property + shard-merge bit-identity with single-process run_repeated).
+// bit-identical to the sequential one), multi-seed aggregation, and
+// cross-process sharding (partition property + shard-merge bit-identity
+// with single-process run_repeated).
 
 #include <gtest/gtest.h>
 
@@ -45,33 +45,6 @@ TEST(Execute, DifferentSeedsDiffer) {
   const auto a = harness::execute(small_spec(7));
   const auto b = harness::execute(small_spec(8));
   EXPECT_NE(a, b);
-}
-
-TEST(Execute, MatchesLegacyRunExperiment) {
-  const auto spec = small_spec();
-  const auto direct = harness::execute(spec);
-  const auto legacy =
-      harness::run_experiment(spec.cfg, spec.workload, spec.opts);
-  EXPECT_EQ(direct, legacy);
-}
-
-TEST(ExecuteFull, TimelineMatchesLegacyResponsivenessRun) {
-  core::Config cfg;
-  cfg.bsize = 100;
-  client::WorkloadConfig wl;
-  wl.mode = client::LoadMode::kOpenLoop;
-  wl.arrival_rate_tps = 2000;
-
-  const auto spec = harness::timeline_spec(cfg, wl, /*horizon=*/1.0,
-                                           /*bucket=*/0.25, 10, 11, 0, 0,
-                                           /*crash_at=*/-1, 0);
-  const auto out = harness::execute_full(spec);
-  const auto legacy = harness::run_responsiveness_timeline(
-      cfg, wl, 1.0, 0.25, 10, 11, 0, 0, -1, 0);
-  EXPECT_EQ(out.result, legacy.summary);
-  EXPECT_EQ(out.tx_per_s, legacy.tx_per_s);
-  EXPECT_EQ(out.bucket_start_s, legacy.bucket_start_s);
-  ASSERT_EQ(out.tx_per_s.size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -134,43 +107,6 @@ TEST(ParallelRunner, ResolveThreadsPrecedence) {
   EXPECT_EQ(harness::ParallelRunner::resolve_threads(2), 2u);
   ::unsetenv("BAMBOO_THREADS");
   EXPECT_GE(harness::ParallelRunner::resolve_threads(0), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Runner-based sweeps vs sequential sweeps
-// ---------------------------------------------------------------------------
-
-TEST(ParallelSweep, ClosedLoopBitIdenticalToSequential) {
-  core::Config cfg;
-  cfg.bsize = 50;
-  client::WorkloadConfig wl;
-  const std::vector<std::uint32_t> ladder = {8, 32, 64};
-  const harness::RunOptions opts{0.1, 0.3};
-
-  const auto seq = harness::sweep_closed_loop(cfg, wl, ladder, opts);
-  harness::ParallelRunner runner(4);
-  const auto par = harness::sweep_closed_loop(runner, cfg, wl, ladder, opts);
-  ASSERT_EQ(par.size(), seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_DOUBLE_EQ(par[i].offered, seq[i].offered);
-    EXPECT_EQ(par[i].result, seq[i].result) << "point " << i;
-  }
-}
-
-TEST(ParallelSweep, OpenLoopBitIdenticalToSequential) {
-  core::Config cfg;
-  cfg.bsize = 50;
-  client::WorkloadConfig wl;
-  const std::vector<double> rates = {500.0, 2000.0};
-  const harness::RunOptions opts{0.1, 0.3};
-
-  const auto seq = harness::sweep_open_loop(cfg, wl, rates, opts);
-  harness::ParallelRunner runner(4);
-  const auto par = harness::sweep_open_loop(runner, cfg, wl, rates, opts);
-  ASSERT_EQ(par.size(), seq.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(par[i].result, seq[i].result) << "point " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

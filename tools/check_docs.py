@@ -16,6 +16,10 @@
    `build/bench_*` binary must name an existing bench and use only flags
    the shared CLI (or bench_perf's own CLI) actually accepts — catches
    handbook recipes that rot as flags are renamed.
+6. The backticked column names in the first cells of the Record column
+   schema table (docs/ARCHITECTURE.md) must equal the header line of the
+   golden CSV fixture, in order; a row marked "(each + `_ci95`)" also
+   lists each name's `_ci95` column right after it.
 
 Usage: check_docs.py [repo-root]   (default: the parent of this script)
 """
@@ -42,10 +46,16 @@ KNOWN_BENCH_FLAGS = {"--full", "--threads", "--seed", "--reps", "--duration",
 # bench_perf has its own CLI.
 KNOWN_PERF_FLAGS = {"--quick", "--out", "--label", "--baseline", "--help"}
 
+SCHEMA_DOC = "docs/ARCHITECTURE.md"
+SCHEMA_HEADING = "### The Record column schema (authoritative)"
+SCHEMA_GOLDEN = "tests/golden/report.csv"
+CI_NOTE = "(each + `_ci95`)"
+
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_REF_RE = re.compile(r"\b(bench_[a-z0-9_]+)\b")
 RECIPE_RE = re.compile(r"(?:^|[\s./])build/(bench_[a-z0-9_]+)(\s[^\n]*)?$")
 FLAG_RE = re.compile(r"(--[a-z-]+)")
+CODE_NAME_RE = re.compile(r"`([A-Za-z0-9_]+)`")
 
 
 def md_files(root):
@@ -178,6 +188,52 @@ def check_recipes(root, benches):
     return errors
 
 
+def schema_doc_columns(text):
+    """Column names listed by the schema table, in order; None if absent."""
+    lines = text.splitlines()
+    if SCHEMA_HEADING not in lines:
+        return None
+    names = []
+    for line in lines[lines.index(SCHEMA_HEADING) + 1:]:
+        if line.startswith("#"):
+            break
+        if not line.lstrip().startswith("|"):
+            if names:
+                break  # the paragraph after the table
+            continue
+        first = line.strip().strip("|").split("|")[0]
+        with_ci = CI_NOTE in first
+        for name in CODE_NAME_RE.findall(first.replace(CI_NOTE, "")):
+            names.append(name)
+            if with_ci:
+                names.append(name + "_ci95")
+    return names
+
+
+def check_schema_doc(root):
+    with open(os.path.join(root, SCHEMA_DOC), encoding="utf-8") as f:
+        documented = schema_doc_columns(f.read())
+    if documented is None:
+        return [f"{SCHEMA_DOC}: no '{SCHEMA_HEADING}' section"]
+    with open(os.path.join(root, SCHEMA_GOLDEN), encoding="utf-8") as f:
+        header = f.readline().strip().split(",")
+    if documented == header:
+        return []
+    errors = [
+        f"{SCHEMA_DOC}: schema table lacks column '{c}' "
+        f"(in {SCHEMA_GOLDEN})"
+        for c in header if c not in documented
+    ] + [
+        f"{SCHEMA_DOC}: schema table lists '{c}', which "
+        f"{SCHEMA_GOLDEN} does not have"
+        for c in documented if c not in header
+    ]
+    if not errors:
+        errors.append(f"{SCHEMA_DOC}: schema table order differs from the "
+                      f"{SCHEMA_GOLDEN} header")
+    return errors
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1]
@@ -191,6 +247,7 @@ def main():
         + check_stale_bench_refs(root, benches)
         + check_required_doc_links(root)
         + check_recipes(root, benches)
+        + check_schema_doc(root)
     )
     if errors:
         for err in errors:
@@ -198,7 +255,8 @@ def main():
         print(f"\n{len(errors)} docs error(s)", file=sys.stderr)
         return 1
     print("docs OK: links resolve, README matrix covers every bench "
-          "binary, required handbook links present, recipes runnable")
+          "binary, required handbook links present, recipes runnable, "
+          "schema table matches the golden header")
     return 0
 
 
