@@ -497,6 +497,12 @@ void Replica::maybe_vote(const types::ProposalMsg& p) {
 }
 
 void Replica::on_vote(const types::VoteMsg& v, NodeId from) {
+  // An exact copy of a counted vote (Streamlet echoes each vote n times) is
+  // one add() would ignore: drop it before hashing and checking its tag.
+  // Its simulated CPU was charged at enqueue (cost_of), so nothing
+  // simulated changes. A different block from the same voter still goes
+  // through verification, so only verified equivocations are counted.
+  if (votes_.has_vote(v)) return;
   if (from != id_ &&
       !keys_.verify(v.sig, types::vote_digest(v.view, v.block_hash))) {
     return;

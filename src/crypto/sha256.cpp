@@ -125,20 +125,21 @@ void Sha256::update_u32(std::uint32_t v) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  // After appending the 0x80 the buffer holds buffer_len_ bytes; pad with
-  // zeros until 56 mod 64. total_len_ bookkeeping is irrelevant from here.
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Padding, written straight into the block buffer (which always has room
+  // for one more byte): 0x80, zeros up to 56 mod 64, then the 64-bit
+  // big-endian bit length. If the 0x80 lands past byte 55, the length needs
+  // a block of its own.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i)
-    len_bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  update(len_bytes);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i)
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

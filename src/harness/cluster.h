@@ -32,6 +32,8 @@ class Cluster {
   [[nodiscard]] net::SimNetwork& network() { return net_; }
   [[nodiscard]] const net::SimNetwork& network() const { return net_; }
   [[nodiscard]] const core::Config& config() const { return cfg_; }
+  /// The cluster's signing keys (one per endpoint).
+  [[nodiscard]] const crypto::KeyStore& keys() const { return keys_; }
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(replicas_.size());
   }

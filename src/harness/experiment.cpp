@@ -638,13 +638,17 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
     const auto fire_at = [&simulator, &cluster, at,
                           &ev](std::function<void()> fire) {
       if (ev.on_timeout) {
+        // The pending poll event owns the closure; the closure itself holds
+        // only a weak reference, so no cycle outlives the run.
         auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&simulator, &cluster, tick, fire = std::move(fire)] {
+        *tick = [&simulator, &cluster, self = std::weak_ptr(tick),
+                 fire = std::move(fire)] {
           if (cluster.total_timeouts() > 0) {
             fire();
             return;  // one-shot: stop polling
           }
-          simulator.schedule_after(kRecoveryPollPeriod, [tick] { (*tick)(); });
+          simulator.schedule_after(kRecoveryPollPeriod,
+                                   [tick = self.lock()] { (*tick)(); });
         };
         simulator.schedule_at(at, [tick] { (*tick)(); });
         return;

@@ -46,6 +46,16 @@ std::optional<types::QuorumCert> VoteAggregator::add(
   return std::nullopt;
 }
 
+bool VoteAggregator::has_vote(const types::VoteMsg& vote) const {
+  const auto view_it = votes_by_voter_.find(vote.view);
+  if (view_it == votes_by_voter_.end()) return false;
+  const auto slot_it = view_it->second.find(vote.slot);
+  if (slot_it == view_it->second.end()) return false;
+  const auto voter_it = slot_it->second.find(vote.voter());
+  return voter_it != slot_it->second.end() &&
+         voter_it->second == vote.block_hash;
+}
+
 void VoteAggregator::gc_below(types::View view) {
   buckets_.erase(buckets_.begin(), buckets_.lower_bound(view));
   votes_by_voter_.erase(votes_by_voter_.begin(),

@@ -27,6 +27,11 @@ class VoteAggregator {
   /// (view, slot, block) when the quorum threshold is crossed.
   std::optional<types::QuorumCert> add(const types::VoteMsg& vote);
 
+  /// True iff add() already recorded this voter's vote for this block in
+  /// this (view, slot), so adding `vote` again would be ignored as a
+  /// duplicate. Inserts no state.
+  [[nodiscard]] bool has_vote(const types::VoteMsg& vote) const;
+
   /// Votes by a voter who already voted a different block in the same
   /// (view, slot). Cumulative Byzantine evidence: per-view voter state is
   /// GC'd by gc_below, so the same voter equivocating in two consecutive
@@ -34,6 +39,8 @@ class VoteAggregator {
   [[nodiscard]] std::uint64_t equivocation_count() const {
     return equivocations_;
   }
+  /// Exact copies passed to add(). core::Replica drops copies of a counted
+  /// vote before add() (see has_vote), so its aggregator counts none.
   [[nodiscard]] std::uint64_t duplicate_count() const { return duplicates_; }
 
   /// Drop all state for views strictly below `view` (garbage collection).

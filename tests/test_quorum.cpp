@@ -101,6 +101,61 @@ TEST(VoteAggregator, GcDropsOldViews) {
   EXPECT_FALSE(agg.add(vote(2, 1, h)).has_value());
 }
 
+TEST(VoteAggregator, HasVoteOnlyForCountedExactCopies) {
+  // A replica skips verifying a vote when has_vote() holds, so it must hold
+  // exactly for the votes add() would ignore as duplicates: same voter,
+  // view, slot and block as a recorded vote.
+  quorum::VoteAggregator agg(4);
+  const auto h1 = crypto::Sha256::hash("b1");
+  const auto h2 = crypto::Sha256::hash("b2");
+  types::VoteMsg v = vote(0, 3, h1);
+  v.slot = 1;
+  EXPECT_FALSE(agg.has_vote(v));
+  agg.add(v);
+  EXPECT_TRUE(agg.has_vote(v));
+
+  types::VoteMsg other_block = v;
+  other_block.block_hash = h2;
+  types::VoteMsg other_slot = v;
+  other_slot.slot = 0;
+  types::VoteMsg other_view = v;
+  other_view.view = 4;
+  types::VoteMsg unseen_voter = v;
+  unseen_voter.sig.signer = 1;
+  EXPECT_FALSE(agg.has_vote(other_block));
+  EXPECT_FALSE(agg.has_vote(other_slot));
+  EXPECT_FALSE(agg.has_vote(other_view));
+  EXPECT_FALSE(agg.has_vote(unseen_voter));
+
+  // add() agrees: the exact copy is a duplicate, the other block is
+  // equivocation evidence (which a replica verifies before adding).
+  agg.add(v);
+  EXPECT_EQ(agg.duplicate_count(), 1u);
+  agg.add(other_block);
+  EXPECT_EQ(agg.equivocation_count(), 1u);
+
+  agg.gc_below(4);
+  EXPECT_FALSE(agg.has_vote(v));
+}
+
+TEST(VoteAggregator, HasVoteInsertsNoState) {
+  // Queries on an empty aggregator leave nothing behind: a recorded
+  // placeholder would turn the first real vote into an equivocation.
+  quorum::VoteAggregator agg(4);
+  const auto h = crypto::Sha256::hash("b");
+  const types::VoteMsg zero_hash = vote(0, 1, crypto::Digest{});
+  EXPECT_FALSE(agg.has_vote(zero_hash));
+  EXPECT_FALSE(agg.has_vote(zero_hash));
+  for (types::NodeId n = 0; n < 3; ++n) {
+    EXPECT_FALSE(agg.has_vote(vote(n, 1, h)));
+  }
+  EXPECT_FALSE(agg.add(vote(0, 1, h)).has_value());
+  EXPECT_FALSE(agg.add(vote(1, 1, h)).has_value());
+  ASSERT_TRUE(agg.add(vote(2, 1, h)).has_value());
+  EXPECT_EQ(agg.duplicate_count(), 0u);
+  EXPECT_EQ(agg.equivocation_count(), 0u);
+}
+
 TEST(TimeoutAggregator, TcAtQuorumCarriesHighestQc) {
   quorum::TimeoutAggregator agg(4);
   EXPECT_FALSE(agg.add(timeout(0, 5, 2)).has_value());

@@ -1,16 +1,19 @@
 // Tests for the certificate-verification pipeline: CertVerifier structural
 // and HMAC checks on hand-crafted QCs/TCs, the forge-qc Byzantine strategy
 // end-to-end (forged certificates must be rejected and counted, never
-// committed), strategy cost-model sanity, and determinism of the simulated
-// multi-worker verify pool.
+// committed), strategy cost-model sanity, determinism of the simulated
+// multi-worker verify pool, and a forged vote delivered ahead of the genuine
+// one.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "client/workload.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
+#include "harness/cluster.h"
 #include "harness/experiment.h"
 #include "quorum/cert_verifier.h"
 #include "types/certificates.h"
@@ -257,6 +260,64 @@ TEST(VerifyPipeline, ExtraWorkersRelieveCpuPressure) {
   const harness::RunResult w4 = harness::execute(spec);
   EXPECT_GE(w4.throughput_tps, w1.throughput_tps);
   EXPECT_TRUE(w4.consistent);
+}
+
+TEST(VerifyPipeline, ForgedVoteCannotShadowTheGenuineVote) {
+  // Streamlet echoes every vote, and a replica skips verifying a copy of a
+  // vote it has already counted. A forged vote (garbage tag) arriving first
+  // must still be verified and dropped: it must neither form a QC nor stop
+  // the genuine vote from the same voter counting when it arrives.
+  core::Config cfg;
+  cfg.protocol = "streamlet";
+  cfg.n_replicas = 4;  // quorum 3
+  cfg.byz_no = 2;      // replicas 2 and 3 crash at start, so the two live
+  cfg.strategy = "crash";  // replicas alone can certify nothing
+  cfg.seed = 5;
+  harness::Cluster cluster(cfg);
+  cluster.start();
+  cluster.simulator().run_for(sim::milliseconds(450));
+
+  // A live block: proposed by replica 0 or 1 and voted by both. Without a
+  // QC nothing commits, so every block extends genesis.
+  const core::Replica& r0 = cluster.replica(0);
+  ASSERT_EQ(r0.forest().committed_height(), 0u);
+  types::BlockPtr block;
+  for (const types::BlockPtr& b :
+       r0.forest().children(r0.forest().committed_tip()->hash())) {
+    if (b->proposer() < 2 && (!block || b->view() > block->view())) block = b;
+  }
+  ASSERT_NE(block, nullptr);
+  ASSERT_FALSE(r0.forest().is_certified(block->hash()));
+
+  types::VoteMsg vote;
+  vote.view = block->view();
+  vote.height = block->height();
+  vote.slot = block->slot();
+  vote.block_hash = block->hash();
+  types::VoteMsg forged = vote;
+  forged.sig.signer = 3;
+  forged.sig.tag = crypto::Sha256::hash("garbage");
+  types::VoteMsg genuine = vote;
+  genuine.sig = cluster.keys().sign(
+      3, types::vote_digest(vote.view, vote.block_hash));
+  // Delivered as replica 1's echo of voter 3's vote.
+  const auto deliver = [&cluster](const types::VoteMsg& v) {
+    cluster.network().send(1, 0, types::make_message(v));
+    cluster.simulator().run_for(sim::milliseconds(5));
+  };
+
+  deliver(forged);
+  EXPECT_FALSE(r0.forest().is_certified(block->hash()));
+
+  deliver(genuine);
+  ASSERT_TRUE(r0.forest().is_certified(block->hash()));
+  const types::QuorumCert qc = *r0.forest().qc_for(block->hash());
+  EXPECT_EQ(qc.sigs.size(), 3u);
+  EXPECT_NE(std::find(qc.sigs.begin(), qc.sigs.end(), genuine.sig),
+            qc.sigs.end());
+
+  deliver(forged);
+  EXPECT_EQ(*r0.forest().qc_for(block->hash()), qc);
 }
 
 }  // namespace
