@@ -3,9 +3,16 @@
 // figure; kept so regressions in the hot paths are visible.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <array>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "core/churn.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/signer.h"
 #include "forest/block_forest.h"
 #include "harness/cluster.h"
@@ -15,6 +22,7 @@
 #include "net/link_model.h"
 #include "quorum/vote_aggregator.h"
 #include "sim/event_queue.h"
+#include "storage/block_store.h"
 #include "sync/syncer.h"
 #include "util/rng.h"
 
@@ -31,6 +39,32 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+// One compression of one 64-byte block, per kernel the host can run (the
+// cases are registered below).
+void BM_Sha256Compress(benchmark::State& state,
+                       crypto::detail::CompressFn kernel) {
+  crypto::detail::Sha256State chain = {
+      0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::array<std::uint8_t, 64> block;
+  block.fill(0xab);
+  for (auto _ : state) {
+    kernel(chain, block.data());
+    benchmark::DoNotOptimize(chain);
+  }
+  state.SetBytesProcessed(state.iterations() * 64);
+}
+
+const bool kSha256CompressRegistered = [] {
+  benchmark::RegisterBenchmark("BM_Sha256Compress/portable", BM_Sha256Compress,
+                               &crypto::detail::compress_portable);
+  if (const auto hardware = crypto::detail::compress_hardware()) {
+    benchmark::RegisterBenchmark("BM_Sha256Compress/sha_extensions",
+                                 BM_Sha256Compress, hardware);
+  }
+  return true;
+}();
 
 void BM_SignVerify(benchmark::State& state) {
   crypto::KeyStore keys(1, 4);
@@ -152,6 +186,59 @@ void BM_ForestCommitPruneBelow(benchmark::State& state) {
                      /*retention=*/true);
 }
 BENCHMARK(BM_ForestCommitPruneBelow)->Arg(64);
+
+// FileBlockStore::append of one committed block with `range(0)`
+// transactions and a 3-signature justify QC: encode, checksum, one write.
+// About 80 is the block size of the perfbench fault workload, 400 that of
+// the saturated LAN one. append() dedupes by hash, so the store is
+// recreated, outside the timing, every time the 64 prebuilt blocks run out.
+void BM_FileStoreAppend(benchmark::State& state) {
+  constexpr std::size_t kBatch = 64;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bamboo-micro-store-" + std::to_string(::getpid()) + ".blk"))
+          .string();
+  std::vector<types::BlockPtr> blocks;
+  types::BlockPtr parent = types::Block::genesis();
+  for (std::size_t b = 0; b < kBatch; ++b) {
+    types::Block::Fields f;
+    f.parent_hash = parent->hash();
+    f.view = b + 1;
+    f.height = b + 1;
+    f.justify.view = parent->view();
+    f.justify.height = parent->height();
+    f.justify.block_hash = parent->hash();
+    for (crypto::SignerId signer = 0; signer < 3; ++signer) {
+      f.justify.sigs.push_back(
+          crypto::Signature{signer, crypto::Sha256::hash("sig")});
+    }
+    f.txns.resize(static_cast<std::size_t>(state.range(0)));
+    for (std::size_t i = 0; i < f.txns.size(); ++i) {
+      f.txns[i].id = b * f.txns.size() + i + 1;
+      f.txns[i].session = static_cast<std::uint32_t>(i);
+      f.txns[i].submitted_at = static_cast<sim::Time>(1000 * i);
+      f.txns[i].payload_size = 128;
+    }
+    parent = std::make_shared<const types::Block>(std::move(f));
+    blocks.push_back(parent);
+  }
+  std::unique_ptr<storage::FileBlockStore> store;
+  std::size_t next = kBatch;
+  for (auto _ : state) {
+    if (next == kBatch) {
+      state.PauseTiming();
+      store.reset();
+      std::filesystem::remove(path);
+      store = std::make_unique<storage::FileBlockStore>(path);
+      next = 0;
+      state.ResumeTiming();
+    }
+    store->append(blocks[next++]);
+  }
+  store.reset();
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_FileStoreAppend)->Arg(80)->Arg(400);
 
 void BM_MempoolAddTake(benchmark::State& state) {
   mempool::Mempool pool(100000);

@@ -397,7 +397,7 @@ Metric bm_churn_dispatch(const Options& opt) {
 
 // ---------------------------------------------------------------------------
 // Durable ledger append: the file-backed block store's hot path (encode +
-// checksum + buffered write), the per-commit cost of store = "file" runs.
+// checksum + one write), the per-commit cost of store = "file" runs.
 // ---------------------------------------------------------------------------
 
 Metric bm_store_append(const Options& opt) {

@@ -2,7 +2,17 @@
 
 #include <cstring>
 
+#include "crypto/sha256_kernels.h"
 #include "util/hex.h"
+
+// The hardware kernel is compiled through function-level target attributes,
+// so the binary still runs on x86-64 CPUs without the SHA extensions; builds
+// for other architectures leave it out.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define BAMBOO_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace bamboo::crypto {
 
@@ -29,15 +39,103 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
+#ifdef BAMBOO_SHA256_X86
 
-void Sha256::reset() {
-  state_ = kInitialState;
-  buffer_len_ = 0;
-  total_len_ = 0;
+// The SHA extensions keep the working variables in two registers of four
+// words, ABEF and CDGH (register names list lanes from high to low), and
+// each sha256rnds2 performs two rounds.
+
+/// Message words W[4g..4g+3], big-endian in the block.
+[[gnu::target("sha,ssse3,sse4.1")]] inline __m128i load_group(
+    const std::uint8_t* block, int g) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)),
+      byteswap);
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
+/// The next four schedule words from the previous sixteen, held as four
+/// groups from oldest (w0) to newest (w3).
+[[gnu::target("sha,ssse3,sse4.1")]] inline __m128i next_group(__m128i w0,
+                                                              __m128i w1,
+                                                              __m128i w2,
+                                                              __m128i w3) {
+  const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                        _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(partial, w3);
+}
+
+/// Rounds 4g..4g+3 with message group w.
+[[gnu::target("sha,ssse3,sse4.1")]] inline void rounds4(__m128i& abef,
+                                                        __m128i& cdgh,
+                                                        __m128i w, int g) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+             &kRoundConstants[static_cast<std::size_t>(4 * g)])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+[[gnu::target("sha,ssse3,sse4.1")]] void compress_sha_extensions(
+    detail::Sha256State& state, const std::uint8_t* block) {
+  // a..h -> ABEF / CDGH.
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w0 = load_group(block, 0);
+  __m128i w1 = load_group(block, 1);
+  __m128i w2 = load_group(block, 2);
+  __m128i w3 = load_group(block, 3);
+  rounds4(abef, cdgh, w0, 0);
+  rounds4(abef, cdgh, w1, 1);
+  rounds4(abef, cdgh, w2, 2);
+  rounds4(abef, cdgh, w3, 3);
+  for (int g = 4; g < 16; g += 4) {
+    w0 = next_group(w0, w1, w2, w3);
+    rounds4(abef, cdgh, w0, g);
+    w1 = next_group(w1, w2, w3, w0);
+    rounds4(abef, cdgh, w1, g + 1);
+    w2 = next_group(w2, w3, w0, w1);
+    rounds4(abef, cdgh, w2, g + 2);
+    w3 = next_group(w3, w0, w1, w2);
+    rounds4(abef, cdgh, w3, g + 3);
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  // ABEF / CDGH -> a..h.
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+/// CPUID: SHA is leaf 7 EBX bit 29; SSSE3 and SSE4.1 are leaf 1 ECX bits 9
+/// and 19.
+bool cpu_has_sha_extensions() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3_sse41 = (ecx & (1u << 9)) != 0 && (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return ssse3_sse41 && (ebx & (1u << 29)) != 0;
+}
+
+#endif  // BAMBOO_SHA256_X86
+
+}  // namespace
+
+namespace detail {
+
+void compress_portable(Sha256State& state, const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[static_cast<std::size_t>(i)] =
@@ -54,8 +152,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (std::size_t i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -74,14 +172,41 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+CompressFn compress_hardware() {
+#ifdef BAMBOO_SHA256_X86
+  if (cpu_has_sha_extensions()) return &compress_sha_extensions;
+#endif
+  return nullptr;
+}
+
+CompressFn compress_selected() {
+  static const CompressFn kernel = [] {
+    const CompressFn hardware = compress_hardware();
+    return hardware != nullptr ? hardware : &compress_portable;
+  }();
+  return kernel;
+}
+
+}  // namespace detail
+
+void Sha256::reset() {
+  state_ = kInitialState;
+  buffer_len_ = 0;
+  total_len_ = 0;
+}
+
+void Sha256::process_block(const std::uint8_t* block) {
+  detail::compress_selected()(state_, block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {

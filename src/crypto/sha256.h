@@ -23,7 +23,9 @@ struct Sha256Midstate {
 };
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch and verified
-/// against the NIST test vectors in tests/test_crypto.cpp.
+/// against the NIST test vectors in tests/test_crypto.cpp. Compression runs
+/// through the kernel chosen once per process for this CPU
+/// (sha256_kernels.h).
 class Sha256 {
  public:
   Sha256() { reset(); }

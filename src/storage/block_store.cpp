@@ -1,5 +1,7 @@
 #include "storage/block_store.h"
 
+#include <bit>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -12,21 +14,42 @@ namespace {
 constexpr std::uint32_t kRecordMagic = 0x314b4c42;  // "BLK1"
 constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8;
 
-// --- little-endian primitives ---------------------------------------------
+// Payload sizes: the block's own fields (56 bytes), its justify QC's (56)
+// and the transaction count (4), then 36 bytes per QC signature and 32 per
+// transaction.
+constexpr std::size_t kBlockFixedBytes = 56 + 56 + 4;
+constexpr std::size_t kSigBytes = 4 + 32;
+constexpr std::size_t kTxBytes = 8 + 4 + 4 + 4 + 8 + 4;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// Payload bytes of encode_block(b). Reads and replays count a record's
+/// length from it, without re-encoding the block.
+std::size_t encoded_size(const types::Block& b) {
+  return kBlockFixedBytes + kSigBytes * b.justify().sigs.size() +
+         kTxBytes * b.txns().size();
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+/// Unchecked little-endian writer: callers size the buffer first
+/// (encoded_size, kRecordHeaderBytes).
+struct Writer {
+  std::uint8_t* at;
 
-void put_digest(std::vector<std::uint8_t>& out, const crypto::Digest& d) {
-  out.insert(out.end(), d.begin(), d.end());
-}
+  template <typename T>
+  void put(T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(at, &v, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i)
+        at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    at += sizeof v;
+  }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void digest(const crypto::Digest& d) {
+    std::memcpy(at, d.data(), d.size());
+    at += d.size();
+  }
+};
 
 /// Bounds-checked payload reader; every overrun is an invalid_argument so
 /// a truncated record is a refusal, never UB.
@@ -66,15 +89,34 @@ struct Reader {
   }
 };
 
-void encode_qc(std::vector<std::uint8_t>& out, const types::QuorumCert& qc) {
-  put_u64(out, qc.view);
-  put_u64(out, qc.height);
-  put_u32(out, qc.slot);
-  put_digest(out, qc.block_hash);
-  put_u32(out, static_cast<std::uint32_t>(qc.sigs.size()));
+void encode_qc(Writer& w, const types::QuorumCert& qc) {
+  w.u64(qc.view);
+  w.u64(qc.height);
+  w.u32(qc.slot);
+  w.digest(qc.block_hash);
+  w.u32(static_cast<std::uint32_t>(qc.sigs.size()));
   for (const crypto::Signature& sig : qc.sigs) {
-    put_u32(out, sig.signer);
-    put_digest(out, sig.tag);
+    w.u32(sig.signer);
+    w.digest(sig.tag);
+  }
+}
+
+/// Writes exactly encoded_size(b) bytes.
+void encode_into(Writer& w, const types::Block& b) {
+  w.digest(b.parent_hash());
+  w.u64(b.view());
+  w.u64(b.height());
+  w.u32(b.slot());
+  w.u32(b.proposer());
+  encode_qc(w, b.justify());
+  w.u32(static_cast<std::uint32_t>(b.txns().size()));
+  for (const types::Transaction& tx : b.txns()) {
+    w.u64(tx.id);
+    w.u32(tx.session);
+    w.u32(tx.serving_replica);
+    w.u32(tx.client_endpoint);
+    w.u64(static_cast<std::uint64_t>(tx.submitted_at));
+    w.u32(tx.payload_size);
   }
 }
 
@@ -85,9 +127,9 @@ types::QuorumCert decode_qc(Reader& r) {
   qc.slot = r.u32();
   qc.block_hash = r.digest();
   const std::uint32_t nsigs = r.u32();
-  // A signature is 36 payload bytes; reject counts the buffer cannot hold
-  // before reserving (a corrupt count must not balloon the allocation).
-  if (static_cast<std::size_t>(nsigs) * 36 > r.len - r.at)
+  // Reject counts the buffer cannot hold before reserving (a corrupt count
+  // must not balloon the allocation).
+  if (static_cast<std::size_t>(nsigs) * kSigBytes > r.len - r.at)
     throw std::invalid_argument("block record truncated (qc sigs)");
   qc.sigs.reserve(nsigs);
   for (std::uint32_t i = 0; i < nsigs; ++i) {
@@ -111,23 +153,9 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t len) {
 }
 
 std::vector<std::uint8_t> encode_block(const types::Block& b) {
-  std::vector<std::uint8_t> out;
-  out.reserve(128 + 32 * b.txns().size());
-  put_digest(out, b.parent_hash());
-  put_u64(out, b.view());
-  put_u64(out, b.height());
-  put_u32(out, b.slot());
-  put_u32(out, b.proposer());
-  encode_qc(out, b.justify());
-  put_u32(out, static_cast<std::uint32_t>(b.txns().size()));
-  for (const types::Transaction& tx : b.txns()) {
-    put_u64(out, tx.id);
-    put_u32(out, tx.session);
-    put_u32(out, tx.serving_replica);
-    put_u32(out, tx.client_endpoint);
-    put_u64(out, static_cast<std::uint64_t>(tx.submitted_at));
-    put_u32(out, tx.payload_size);
-  }
+  std::vector<std::uint8_t> out(encoded_size(b));
+  Writer w{out.data()};
+  encode_into(w, b);
   return out;
 }
 
@@ -141,7 +169,7 @@ types::BlockPtr decode_block(const std::uint8_t* data, std::size_t len) {
   f.proposer = r.u32();
   f.justify = decode_qc(r);
   const std::uint32_t ntx = r.u32();
-  if (static_cast<std::size_t>(ntx) * 32 > r.len - r.at)
+  if (static_cast<std::size_t>(ntx) * kTxBytes > r.len - r.at)
     throw std::invalid_argument("block record truncated (txns)");
   f.txns.reserve(ntx);
   for (std::uint32_t i = 0; i < ntx; ++i) {
@@ -195,6 +223,11 @@ void MemoryBlockStore::replay(
 
 FileBlockStore::FileBlockStore(std::string path) : path_(std::move(path)) {
   recover();
+  // One descriptor for the store's lifetime. Unbuffered, so each append's
+  // record reaches the OS in one write.
+  out_.reset(std::fopen(path_.c_str(), "ab"));
+  if (!out_) throw std::runtime_error("block store: cannot open " + path_);
+  std::setvbuf(out_.get(), nullptr, _IONBF, 0);
 }
 
 void FileBlockStore::recover() {
@@ -238,27 +271,27 @@ void FileBlockStore::recover() {
 
 void FileBlockStore::append(const types::BlockPtr& block) {
   if (index_.contains(block->hash())) return;
-  const std::vector<std::uint8_t> payload = encode_block(*block);
-  std::vector<std::uint8_t> record;
-  record.reserve(kRecordHeaderBytes + payload.size());
-  put_u32(record, kRecordMagic);
-  put_u32(record, static_cast<std::uint32_t>(payload.size()));
-  put_u64(record, fnv1a64(payload.data(), payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
+  // Header and payload are encoded in place in one reusable buffer; the
+  // checksum covers the payload where it lies.
+  const std::size_t payload_len = encoded_size(*block);
+  const std::size_t record_len = kRecordHeaderBytes + payload_len;
+  if (record_.size() < record_len) record_.resize(record_len);
+  std::uint8_t* payload = record_.data() + kRecordHeaderBytes;
+  Writer body{payload};
+  encode_into(body, *block);
+  Writer header{record_.data()};
+  header.u32(kRecordMagic);
+  header.u32(static_cast<std::uint32_t>(payload_len));
+  header.u64(fnv1a64(payload, payload_len));
 
-  std::ofstream out(path_, std::ios::binary | std::ios::app);
-  if (!out.is_open())
-    throw std::runtime_error("block store: cannot open " + path_);
-  out.write(reinterpret_cast<const char*>(record.data()),
-            static_cast<std::streamsize>(record.size()));
-  out.flush();
-  if (!out.good())
+  if (std::fwrite(record_.data(), 1, record_len, out_.get()) != record_len ||
+      std::fflush(out_.get()) != 0)
     throw std::runtime_error("block store: short write to " + path_);
 
   index_.emplace(block->hash(), log_.size());
   log_.push_back(block);
   ++stats_.appends;
-  stats_.bytes_written += record.size();
+  stats_.bytes_written += record_len;
   stats_.logical_bytes += block->wire_size();
 }
 
@@ -267,7 +300,7 @@ types::BlockPtr FileBlockStore::read(const crypto::Digest& hash) {
   if (it == index_.end()) return nullptr;
   const types::BlockPtr& block = log_[it->second];
   ++stats_.reads;
-  stats_.bytes_read += kRecordHeaderBytes + encode_block(*block).size();
+  stats_.bytes_read += kRecordHeaderBytes + encoded_size(*block);
   return block;
 }
 
@@ -279,7 +312,7 @@ void FileBlockStore::replay(
     const std::function<void(const types::BlockPtr&)>& fn) {
   for (const types::BlockPtr& block : log_) {
     ++stats_.reads;
-    stats_.bytes_read += kRecordHeaderBytes + encode_block(*block).size();
+    stats_.bytes_read += kRecordHeaderBytes + encoded_size(*block);
     fn(block);
   }
 }

@@ -37,6 +37,7 @@
 // accounted here either way.
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -104,9 +105,12 @@ class MemoryBlockStore final : public BlockStore {
   std::unordered_map<crypto::Digest, std::size_t> index_;
 };
 
-/// File-backed append log + index. Construction opens (or creates) the log
-/// at `path` and recovers the valid record prefix; see the header comment
-/// for the framing and torn-write policy.
+/// File-backed append log + index. Construction recovers the valid record
+/// prefix of the log at `path`, then opens (or creates) it for appending
+/// until the store is destroyed; an unopenable path throws
+/// std::runtime_error. Each append hands its whole record to the OS in one
+/// write, flushed before it returns. See the header comment for the
+/// framing and torn-write policy.
 class FileBlockStore final : public BlockStore {
  public:
   explicit FileBlockStore(std::string path);
@@ -120,11 +124,17 @@ class FileBlockStore final : public BlockStore {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
   void recover();
 
   std::string path_;
+  std::unique_ptr<std::FILE, FileCloser> out_;  ///< the open log; no copies
   std::vector<types::BlockPtr> log_;
   std::unordered_map<crypto::Digest, std::size_t> index_;
+  std::vector<std::uint8_t> record_;  ///< append's reusable encode buffer
 };
 
 /// Serialize one block into the record payload encoding (little-endian

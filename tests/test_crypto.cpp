@@ -1,15 +1,20 @@
 // SHA-256 against NIST/FIPS 180-4 test vectors, HMAC-SHA256 against RFC
-// 4231, and the simulated signature scheme.
+// 4231, and the simulated signature scheme. These run through the
+// compression kernel Sha256 picks for this CPU; the Sha256Kernels cases
+// drive each kernel directly and check that they agree.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/signer.h"
 #include "util/hex.h"
+#include "util/rng.h"
 
 namespace bamboo {
 namespace {
@@ -129,6 +134,71 @@ TEST(Sha256, MidstateResumeMatchesFull) {
     EXPECT_EQ(resumed.finish(), crypto::Sha256::hash(prefix + suffix))
         << suffix_len;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Compression kernels
+// ---------------------------------------------------------------------------
+
+/// Every kernel this build and CPU offer, the portable reference first.
+std::vector<crypto::detail::CompressFn> available_kernels() {
+  std::vector<crypto::detail::CompressFn> kernels = {
+      &crypto::detail::compress_portable};
+  if (const auto hardware = crypto::detail::compress_hardware())
+    kernels.push_back(hardware);
+  return kernels;
+}
+
+TEST(Sha256Kernels, EachKernelHashesAbcInOneBlock) {
+  // "abc" padded to one block, compressed from the FIPS 180-4 initial
+  // state, is the whole computation of SHA-256("abc").
+  std::array<std::uint8_t, 64> block{};
+  block[0] = 'a';
+  block[1] = 'b';
+  block[2] = 'c';
+  block[3] = 0x80;
+  block[63] = 24;  // bit length
+  const crypto::detail::Sha256State expected = {
+      0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+      0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad};
+  for (const crypto::detail::CompressFn kernel : available_kernels()) {
+    crypto::detail::Sha256State state = {
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    kernel(state, block.data());
+    EXPECT_EQ(state, expected);
+  }
+}
+
+TEST(Sha256Kernels, HardwareMatchesPortableOnRandomBlocks) {
+  const crypto::detail::CompressFn hardware =
+      crypto::detail::compress_hardware();
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "no SHA-extensions kernel on this CPU or build; "
+                    "only the portable kernel runs here";
+  }
+  util::Rng rng(0x5a256);
+  for (int i = 0; i < 10000; ++i) {
+    crypto::detail::Sha256State state;
+    for (std::uint32_t& word : state)
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    std::array<std::uint8_t, 64> block;
+    for (std::uint8_t& byte : block)
+      byte = static_cast<std::uint8_t>(rng.next_u64());
+    crypto::detail::Sha256State expected = state;
+    crypto::detail::compress_portable(expected, block.data());
+    crypto::detail::Sha256State got = state;
+    hardware(got, block.data());
+    ASSERT_EQ(got, expected) << "pair " << i;
+  }
+}
+
+TEST(Sha256Kernels, DispatchPrefersTheHardwareKernel) {
+  const crypto::detail::CompressFn hardware =
+      crypto::detail::compress_hardware();
+  EXPECT_EQ(crypto::detail::compress_selected(),
+            hardware != nullptr ? hardware
+                                : &crypto::detail::compress_portable);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 // Tests for the durable ledger subsystem (storage/block_store.h): the
 // block codec, the in-memory and file-backed stores (append/read/replay,
-// hash dedup, byte accounting), torn-write recovery of the file log, and
-// the end-to-end crash-restart path through the harness — a replica
-// rebuilt from the store it appended to before it died, with the disk
-// accounting columns populated and deterministic across thread counts.
+// hash dedup, byte accounting), the exact bytes of the file log's
+// records, torn-write recovery of the file log, and the end-to-end
+// crash-restart path through the harness — a replica rebuilt from the
+// store it appended to before it died, with the disk accounting columns
+// populated and deterministic across thread counts.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "client/workload.h"
@@ -20,6 +24,7 @@
 #include "harness/runner.h"
 #include "storage/block_store.h"
 #include "types/block.h"
+#include "util/hex.h"
 
 namespace bamboo {
 namespace {
@@ -225,6 +230,175 @@ TEST(StoreFactory, MakesBothKindsAndRejectsUnknown) {
   EXPECT_TRUE(dynamic_cast<FileBlockStore*>(file.get()) != nullptr);
   EXPECT_THROW(static_cast<void>(storage::make_store("cloud", "")),
                std::invalid_argument);
+}
+
+static_assert(!std::is_copy_constructible_v<FileBlockStore> &&
+                  !std::is_copy_assignable_v<FileBlockStore>,
+              "a file store owns its open log");
+
+TEST(FileStore, UnopenablePathThrows) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bamboo-test-no-such-dir-" + std::to_string(::getpid())) / "x.blk")
+          .string();
+  const auto chain = make_chain(1);
+  try {
+    FileBlockStore store(path);
+    store.append(chain[0]);
+    FAIL() << "no error for " << path;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "block store: cannot open " + path);
+  }
+}
+
+TEST(FileStore, ReadsCountTheRecordBytesOnDisk) {
+  TempLog log("bytes-read");
+  const auto chain = make_chain(9);
+  FileBlockStore store(log.path);
+  for (const BlockPtr& b : chain) store.append(b);
+  const std::uint64_t file_size = std::filesystem::file_size(log.path);
+  store.replay([](const BlockPtr&) {});
+  EXPECT_EQ(store.stats().bytes_read, file_size);
+  EXPECT_EQ(store.stats().reads, chain.size());
+
+  // A reopened store counts the same bytes for the records it recovered,
+  // and a point read counts one record: header plus payload.
+  FileBlockStore reopened(log.path);
+  reopened.replay([](const BlockPtr&) {});
+  EXPECT_EQ(reopened.stats().bytes_read, file_size);
+  ASSERT_TRUE(reopened.read(chain[3]->hash()));
+  EXPECT_EQ(reopened.stats().bytes_read,
+            file_size + 16 + storage::encode_block(*chain[3]).size());
+}
+
+// ---------------------------------------------------------------------------
+// On-disk record format
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv_of(std::string_view text) {
+  return storage::fnv1a64(reinterpret_cast<const std::uint8_t*>(text.data()),
+                          text.size());
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// A child of `parent` whose transactions differ in every encoded field
+/// and whose justify QC carries `sigs` signatures.
+BlockPtr varied_child(const BlockPtr& parent, types::View view,
+                      std::uint32_t txns, std::uint32_t sigs) {
+  types::Block::Fields f;
+  f.parent_hash = parent->hash();
+  f.view = view;
+  f.height = parent->height() + 1;
+  f.slot = view % 2;
+  f.proposer = static_cast<types::NodeId>(view % 4);
+  f.justify.view = parent->view();
+  f.justify.height = parent->height();
+  f.justify.slot = parent->slot();
+  f.justify.block_hash = parent->hash();
+  for (std::uint32_t s = 0; s < sigs; ++s) {
+    crypto::Signature sig;
+    sig.signer = 2 * s + 1;
+    sig.tag = crypto::Sha256::hash("tag " + std::to_string(view * 10 + s));
+    f.justify.sigs.push_back(sig);
+  }
+  for (std::uint32_t i = 0; i < txns; ++i) {
+    types::Transaction tx;
+    tx.id = (std::uint64_t{view} << 40) | (i * 7919 + 1);
+    tx.session = 1000 * static_cast<std::uint32_t>(view) + i;
+    tx.serving_replica = i % 4;
+    tx.client_endpoint = 4 + i % 3;
+    tx.submitted_at = sim::milliseconds(static_cast<std::int64_t>(view)) +
+                      static_cast<sim::Time>(i) * 1237;
+    tx.payload_size = 16 * (i + 1) + static_cast<std::uint32_t>(view);
+    f.txns.push_back(tx);
+  }
+  return std::make_shared<const types::Block>(std::move(f));
+}
+
+TEST(RecordFormat, Fnv1a64MatchesPublishedVectors) {
+  EXPECT_EQ(fnv_of(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv_of("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv_of("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(RecordFormat, FileHoldsExactlyTheFramedRecords) {
+  TempLog log("format");
+  const BlockPtr b1 = varied_child(types::Block::genesis(), 1, 0, 0);
+  const BlockPtr b2 = varied_child(b1, 2, 3, 3);
+  const BlockPtr b3 = varied_child(b2, 4, 11, 5);
+  {
+    FileBlockStore store(log.path);
+    for (const BlockPtr& b : {b1, b2, b3}) store.append(b);
+  }
+  // Per record: magic "BLK1" (u32), payload length (u32),
+  // fnv1a64(payload) (u64), payload = encode_block(b); little-endian.
+  std::vector<std::uint8_t> expected;
+  for (const BlockPtr& b : {b1, b2, b3}) {
+    const std::vector<std::uint8_t> payload = storage::encode_block(*b);
+    put_le(expected, 0x314b4c42, 4);
+    put_le(expected, payload.size(), 4);
+    put_le(expected, storage::fnv1a64(payload.data(), payload.size()), 8);
+    expected.insert(expected.end(), payload.begin(), payload.end());
+  }
+  EXPECT_EQ(expected[0], 'B');
+  EXPECT_EQ(expected[3], '1');
+  std::ifstream in(log.path, std::ios::binary);
+  const std::vector<std::uint8_t> on_disk(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, expected);
+}
+
+TEST(RecordFormat, BlockEncodingIsPinned) {
+  types::Block::Fields f;
+  for (std::size_t i = 0; i < 32; ++i) {
+    f.parent_hash[i] = static_cast<std::uint8_t>(i);
+    f.justify.block_hash[i] = static_cast<std::uint8_t>(0xe0 + i);
+  }
+  f.view = 0x0102;
+  f.height = 0x0a0b0c;
+  f.slot = 2;
+  f.proposer = 3;
+  f.justify.view = 0x0101;
+  f.justify.height = 0x0a0b0b;
+  f.justify.slot = 1;
+  for (const crypto::SignerId signer : {0u, 2u, 5u}) {
+    crypto::Signature sig;
+    sig.signer = signer;
+    for (std::size_t i = 0; i < 32; ++i)
+      sig.tag[i] = static_cast<std::uint8_t>(0x10 * signer + i);
+    f.justify.sigs.push_back(sig);
+  }
+  types::Transaction tx;
+  tx.id = 0x1122334455667788;
+  tx.session = 7;
+  tx.serving_replica = 1;
+  tx.client_endpoint = 9;
+  tx.submitted_at = 1500000000;
+  tx.payload_size = 512;
+  f.txns.push_back(tx);
+  tx.id = 2;
+  tx.session = 8;
+  tx.serving_replica = 3;
+  tx.client_endpoint = 10;
+  tx.submitted_at = 42;
+  tx.payload_size = 0;
+  f.txns.push_back(tx);
+  const types::Block block(std::move(f));
+  EXPECT_EQ(
+      util::to_hex(storage::encode_block(block)),
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+      "02010000000000000c0b0a000000000002000000030000000101000000000000"
+      "0b0b0a000000000001000000e0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3"
+      "f4f5f6f7f8f9fafbfcfdfeff0300000000000000000102030405060708090a0b"
+      "0c0d0e0f101112131415161718191a1b1c1d1e1f020000002021222324252627"
+      "28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f0500000050515253"
+      "5455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f02000000"
+      "8877665544332211070000000100000009000000002f68590000000000020000"
+      "020000000000000008000000030000000a0000002a0000000000000000000000");
 }
 
 // ---------------------------------------------------------------------------
