@@ -83,9 +83,10 @@ int main(int argc, char** argv) {
   static const char* kLabels[] = {
       "routing-2chs", "routing-sl", "rule-2chs",  "rule-hs", "elect-rr",
       "elect-hash",   "wait-0ms",   "wait-10ms", "wait-20ms"};
-  const auto aggs = reporter.run(
+  const auto rows = reporter.run(
       "ablation", grid,
       [](std::size_t index) { return std::string(kLabels[index]); });
+  using harness::RunResult;
 
   std::size_t i = 0;
 
@@ -96,17 +97,18 @@ int main(int argc, char** argv) {
                               "net MB/s", "forking-immune"});
     for (const std::string protocol : {"2chs", "streamlet"}) {
       const std::size_t index = i++;
-      if (!aggs[index]) continue;  // another shard's cell
-      const harness::Aggregate& a = *aggs[index];
-      const double mb_per_s = bench::mean_of(a, [](const harness::RunResult& r) {
-        return r.measured_s > 0
-                   ? static_cast<double>(r.net_bytes) / r.measured_s / 1e6
-                   : 0.0;
-      });
+      if (!rows[index].aggregate) continue;  // another shard's cell
+      const harness::report::Record& a = *rows[index].aggregate;
+      const double mb_per_s =
+          bench::per_run_mean(rows[index], [](const RunResult& r) {
+            return r.measured_s > 0
+                       ? static_cast<double>(r.net_bytes) / r.measured_s / 1e6
+                       : 0.0;
+          });
       table.add_row(
           {protocol == "streamlet" ? "broadcast+echo" : "next leader",
-           bench::ci_cell(a.throughput_tps, 1e-3, 1),
-           bench::ci_cell(a.latency_ms_mean, 1.0, 1),
+           bench::ci_cell(a, &RunResult::throughput_tps, 1e-3, 1),
+           bench::ci_cell(a, &RunResult::latency_ms_mean, 1.0, 1),
            harness::TextTable::num(mb_per_s, 0),
            protocol == "streamlet" ? "yes" : "no"});
     }
@@ -121,11 +123,11 @@ int main(int argc, char** argv) {
         {"rule", "lat(ms)", "BI", "fork budget(blocks)"});
     for (const std::string protocol : {"2chs", "hotstuff"}) {
       const std::size_t index = i++;
-      if (!aggs[index]) continue;
-      const harness::Aggregate& a = *aggs[index];
+      if (!rows[index].aggregate) continue;
+      const harness::report::Record& a = *rows[index].aggregate;
       table.add_row({protocol == "hotstuff" ? "three-chain" : "two-chain",
-                     bench::ci_cell(a.latency_ms_mean, 1.0, 1),
-                     bench::ci_cell(a.block_interval, 1.0, 1),
+                     bench::ci_cell(a, &RunResult::latency_ms_mean, 1.0, 1),
+                     bench::ci_cell(a, &RunResult::block_interval, 1.0, 1),
                      protocol == "hotstuff" ? "2" : "1"});
     }
     table.print(std::cout);
@@ -138,12 +140,12 @@ int main(int argc, char** argv) {
     harness::TextTable table({"election", "thr(KTx/s)", "lat(ms)", "CGR"});
     for (const std::string election : {"roundrobin", "hash"}) {
       const std::size_t index = i++;
-      if (!aggs[index]) continue;
-      const harness::Aggregate& a = *aggs[index];
+      if (!rows[index].aggregate) continue;
+      const harness::report::Record& a = *rows[index].aggregate;
       table.add_row({election,
-                     bench::ci_cell(a.throughput_tps, 1e-3, 1),
-                     bench::ci_cell(a.latency_ms_mean, 1.0, 1),
-                     bench::ci_cell(a.cgr_per_block, 1.0, 2)});
+                     bench::ci_cell(a, &RunResult::throughput_tps, 1e-3, 1),
+                     bench::ci_cell(a, &RunResult::latency_ms_mean, 1.0, 1),
+                     bench::ci_cell(a, &RunResult::cgr_per_block, 1.0, 2)});
     }
     table.print(std::cout);
     std::cout << "(hash rotation can elect the same leader twice in a row;\n"
@@ -157,16 +159,13 @@ int main(int argc, char** argv) {
                               "timeouts"});
     for (const sim::Duration wait : waits) {
       const std::size_t index = i++;
-      if (!aggs[index]) continue;
-      const harness::Aggregate& a = *aggs[index];
-      const double timeouts = bench::mean_of(a, [](const harness::RunResult& r) {
-        return static_cast<double>(r.timeouts);
-      });
+      if (!rows[index].aggregate) continue;
+      const harness::report::Record& a = *rows[index].aggregate;
       table.add_row({harness::TextTable::num(sim::to_milliseconds(wait), 0) +
                          " ms",
-                     bench::ci_cell(a.throughput_tps, 1e-3, 1),
-                     bench::ci_cell(a.latency_ms_mean, 1.0, 1),
-                     harness::TextTable::num(timeouts, 0)});
+                     bench::ci_cell(a, &RunResult::throughput_tps, 1e-3, 1),
+                     bench::ci_cell(a, &RunResult::latency_ms_mean, 1.0, 1),
+                     std::to_string(a.result.timeouts)});
     }
     table.print(std::cout);
     std::cout << "(every ms of Δ is paid on every timeout-driven view\n"

@@ -3,12 +3,12 @@
 // Shared plumbing for the per-figure bench binaries: one CLI layer
 // (--full/--threads/--seed/--reps/--duration/--out/--format/--shard), the
 // Reporter that routes every RunSpec grid through multi-seed repetition +
-// the report sinks (so tables show 95% CIs and every run lands on disk),
-// and the standard column set printed for latency/throughput sweeps.
+// the report sinks (tables print the aggregate rows, with 95% CIs, that
+// land on disk), and the standard column set printed for
+// latency/throughput sweeps.
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -51,52 +51,74 @@ inline std::vector<std::string> parse_formats(const std::string& list) {
   return formats;
 }
 
+inline void print_usage(std::ostream& out, const char* argv0) {
+  out << "usage: " << argv0
+      << " [--full] [--threads N] [--seed S] [--reps R]\n"
+      << "       [--duration S] [--out DIR] [--format csv,json]"
+      << " [--shard i/n]\n"
+      << "  --full        longer measurement windows and denser sweeps\n"
+      << "  --threads N   worker threads for the run grid (default:\n"
+      << "                BAMBOO_THREADS env var, else all cores)\n"
+      << "  --seed S      override the bench's default base seed\n"
+      << "  --reps R      repetitions per sweep point under seeds\n"
+      << "                S..S+R-1; tables then show mean ± 95% CI\n"
+      << "  --duration S  override every measurement window (smoke runs)\n"
+      << "  --out DIR     persist results: one CSV/JSON file per\n"
+      << "                figure/table plus manifest.json\n"
+      << "  --format F    comma list of csv,json (default both)\n"
+      << "  --shard i/n   run only the i-th of n deterministic slices of\n"
+      << "                the (spec x rep) grid; merge the per-shard\n"
+      << "                files with bench_merge\n";
+}
+
+/// Refuse a malformed command line before anything runs: the reason and
+/// the usage text on stderr, exit status 2.
+[[noreturn]] inline void usage_error(const char* argv0,
+                                     const std::string& why) {
+  std::cerr << argv0 << ": " << why << "\n";
+  print_usage(std::cerr, argv0);
+  std::exit(2);
+}
+
+/// Parse the shared bench CLI. An unknown argument or a flag without its
+/// value is a usage_error; a malformed --threads value falls back to the
+/// automatic count.
 inline Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
+    const std::string flag = argv[i];
+    const auto value = [&] {
+      if (i + 1 >= argc) usage_error(argv[0], flag + " needs a value");
+      return argv[++i];
+    };
+    if (flag == "--full") {
       args.full = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      args.threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      args.reps = static_cast<std::uint32_t>(
-          std::strtoul(argv[++i], nullptr, 10));
+    } else if (flag == "--threads") {
+      args.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+    } else if (flag == "--seed") {
+      args.seed = std::strtoull(value(), nullptr, 10);
+    } else if (flag == "--reps") {
+      args.reps =
+          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
       if (args.reps == 0) args.reps = 1;
-    } else if (std::strcmp(argv[i], "--duration") == 0 && i + 1 < argc) {
-      args.duration = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      args.out = argv[++i];
-    } else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
-      args.formats = parse_formats(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
+    } else if (flag == "--duration") {
+      args.duration = std::strtod(value(), nullptr);
+    } else if (flag == "--out") {
+      args.out = value();
+    } else if (flag == "--format") {
+      args.formats = parse_formats(value());
+    } else if (flag == "--shard") {
       try {
-        args.shard = harness::Shard::parse(argv[++i]);
+        args.shard = harness::Shard::parse(value());
       } catch (const std::exception& e) {
         std::cerr << e.what() << "\n";
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::cout
-          << "usage: " << argv[0]
-          << " [--full] [--threads N] [--seed S] [--reps R]\n"
-          << "       [--duration S] [--out DIR] [--format csv,json]"
-          << " [--shard i/n]\n"
-          << "  --full        longer measurement windows and denser sweeps\n"
-          << "  --threads N   worker threads for the run grid (default:\n"
-          << "                BAMBOO_THREADS env var, else all cores)\n"
-          << "  --seed S      override the bench's default base seed\n"
-          << "  --reps R      repetitions per sweep point under seeds\n"
-          << "                S..S+R-1; tables then show mean ± 95% CI\n"
-          << "  --duration S  override every measurement window (smoke runs)\n"
-          << "  --out DIR     persist results: one CSV/JSON file per\n"
-          << "                figure/table plus manifest.json\n"
-          << "  --format F    comma list of csv,json (default both)\n"
-          << "  --shard i/n   run only the i-th of n deterministic slices of\n"
-          << "                the (spec x rep) grid; merge the per-shard\n"
-          << "                files with bench_merge\n";
+    } else if (flag == "--help") {
+      print_usage(std::cout, argv[0]);
       std::exit(0);
+    } else {
+      usage_error(argv[0], "unknown argument '" + flag + "'");
     }
   }
   return args;
@@ -124,34 +146,28 @@ inline void print_header(const std::string& title,
   std::cout << "\n";
 }
 
-/// Mean of a per-run accounting value across the reps of one aggregate
-/// (for RunResult fields — views, timeouts, forks — that Aggregate does
-/// not track as headline metrics).
-template <typename Field>
-double mean_of(const harness::Aggregate& agg, Field&& field) {
-  if (agg.results.empty()) return 0.0;
+/// Mean over a spec's reps of a value the table derives per run (views/s,
+/// MB/s). run_metrics() metrics are read from the aggregate row instead.
+template <typename Fn>
+double per_run_mean(const harness::report::SpecRows& rows, Fn&& per_run) {
+  if (rows.runs.empty()) return 0.0;
   double sum = 0;
-  for (const harness::RunResult& r : agg.results) {
-    sum += static_cast<double>(field(r));
-  }
-  return sum / static_cast<double>(agg.runs);
+  for (const harness::report::Record& r : rows.runs) sum += per_run(r.result);
+  return sum / static_cast<double>(rows.runs.size());
 }
 
-/// "mean±ci" cell for one aggregated metric (scale applied to both).
-inline std::string ci_cell(const harness::MetricSummary& m, double scale,
-                           int precision) {
-  return harness::TextTable::num(m.mean() * scale, precision) + "±" +
-         harness::TextTable::num(m.ci95() * scale, precision);
-}
+/// "mean±ci" cell for a kMeanCi metric of an aggregate row.
+using harness::report::ci_cell;
 
 /// Append one sweep point (multi-seed aggregate) with the standard columns.
 inline void add_sweep_row(harness::TextTable& table, const std::string& label,
-                          double offered, const harness::Aggregate& agg) {
+                          double offered, const harness::report::Record& agg) {
+  using harness::RunResult;
   table.add_row({label, harness::TextTable::num(offered, 0),
-                 ci_cell(agg.throughput_tps, 1e-3, 1),
-                 ci_cell(agg.latency_ms_mean, 1.0, 1),
-                 ci_cell(agg.latency_ms_p99, 1.0, 1),
-                 agg.all_consistent ? "ok" : "VIOLATED"});
+                 ci_cell(agg, &RunResult::throughput_tps, 1e-3, 1),
+                 ci_cell(agg, &RunResult::latency_ms_mean, 1.0, 1),
+                 ci_cell(agg, &RunResult::latency_ms_p99, 1.0, 1),
+                 agg.result.consistent ? "ok" : "VIOLATED"});
 }
 
 inline std::vector<std::string> sweep_headers(const std::string& offered) {
@@ -187,15 +203,15 @@ inline std::function<std::string(std::size_t)> series_labels(
 }
 
 /// Print every series slice of a sweep grid with the standard columns.
-inline void print_series(
-    harness::TextTable& table, const std::vector<harness::RunSpec>& grid,
-    const std::vector<SeriesSlice>& series,
-    const std::vector<std::optional<harness::Aggregate>>& aggs) {
+inline void print_series(harness::TextTable& table,
+                         const std::vector<harness::RunSpec>& grid,
+                         const std::vector<SeriesSlice>& series,
+                         const std::vector<harness::report::SpecRows>& rows) {
   for (const SeriesSlice& s : series) {
     for (std::size_t i = 0; i < s.count; ++i) {
-      const auto& spec = grid[s.begin + i];
-      if (!aggs[s.begin + i]) continue;  // not owned by this shard
-      add_sweep_row(table, s.label, spec.offered, *aggs[s.begin + i]);
+      const auto& agg = rows[s.begin + i].aggregate;
+      if (!agg) continue;  // not owned by this shard
+      add_sweep_row(table, s.label, grid[s.begin + i].offered, *agg);
     }
   }
 }
@@ -215,41 +231,27 @@ class Reporter {
   [[nodiscard]] harness::ParallelRunner& runner() { return runner_; }
   [[nodiscard]] bool sharded() const { return args_.shard.enabled(); }
 
-  /// Execute grid x --reps (this shard's slice) in one submission; persist
-  /// one run row per (spec, rep) plus one aggregate row per complete spec.
-  /// Returns per-spec aggregates; disengaged entries belong to other shards.
-  std::vector<std::optional<harness::Aggregate>> run(
+  /// Execute grid x --reps (this shard's slice) in one submission and
+  /// persist every row report::grid_rows builds: one run row per (spec,
+  /// rep) plus one aggregate row per complete spec. Returns those rows,
+  /// so a table prints exactly the aggregate row --out persists; specs
+  /// owned by other shards come back empty.
+  std::vector<harness::report::SpecRows> run(
       const std::string& artifact, const std::vector<harness::RunSpec>& grid,
       const std::function<std::string(std::size_t)>& series_of) {
-    auto grid_run = runner_.run_repeated_grid(grid, args_.reps, args_.shard);
-    if (writer_.enabled()) {
-      std::size_t i = 0;
-      while (i < grid_run.jobs.size()) {
-        const std::uint32_t s = grid_run.jobs[i].spec_index;
-        std::size_t end = i;
-        while (end < grid_run.jobs.size() &&
-               grid_run.jobs[end].spec_index == s) {
-          ++end;
-        }
-        const std::string label = series_of(s);
-        for (std::size_t j = i; j < end; ++j) {
-          writer_.add(artifact, harness::report::make_run_record(
-                                    bench_, artifact, label, s, grid[s],
-                                    grid_run.jobs[j].rep, args_.reps,
-                                    grid_run.jobs[j].result));
-        }
-        if (grid_run.aggregates[s]) {
-          writer_.add(artifact,
-                      harness::report::make_aggregate_record(
-                          bench_, artifact, label, s, grid[s],
-                          grid_run.aggregates[s]->results));
-        }
-        i = end;
+    const auto grid_run =
+        runner_.run_repeated_grid(grid, args_.reps, args_.shard);
+    auto rows =
+        harness::report::grid_rows(bench_, artifact, grid, grid_run, series_of);
+    for (const harness::report::SpecRows& spec : rows) {
+      for (const harness::report::Record& r : spec.runs) {
+        writer_.add(artifact, r);
       }
+      if (spec.aggregate) writer_.add(artifact, *spec.aggregate);
     }
     executed_ += grid_run.jobs.size();
     total_ += grid.size() * args_.reps;
-    return std::move(grid_run.aggregates);
+    return rows;
   }
 
   /// Single-seed execute_full for timeline benches, sharded per spec;

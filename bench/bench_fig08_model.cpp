@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     }
     return std::string("?");
   };
-  const auto aggs = reporter.run("fig08_model", grid, series_of);
+  const auto rows = reporter.run("fig08_model", grid, series_of);
 
   std::size_t ladder_index = 0;
   for (const Setup& setup : setups) {
@@ -93,15 +93,15 @@ int main(int argc, char** argv) {
 
       for (std::size_t i = 0; i < ladder.count; ++i) {
         const auto& spec = grid[ladder.begin + i];
-        if (!aggs[ladder.begin + i]) continue;  // another shard's point
-        const harness::Aggregate& a = *aggs[ladder.begin + i];
+        const auto& a = rows[ladder.begin + i].aggregate;
+        if (!a) continue;  // another shard's point
         const double predicted = pm.latency_ms(spec.offered);
-        const double measured = a.latency_ms_mean.mean();
+        const double measured = a->result.latency_ms_mean;
         table.add_row(
             {bench::short_name(protocol),
              harness::TextTable::num(spec.offered, 0),
-             bench::ci_cell(a.throughput_tps, 1e-3, 1),
-             bench::ci_cell(a.latency_ms_mean, 1.0, 1),
+             bench::ci_cell(*a, &harness::RunResult::throughput_tps, 1e-3, 1),
+             bench::ci_cell(*a, &harness::RunResult::latency_ms_mean, 1.0, 1),
              harness::TextTable::num(predicted, 1),
              harness::TextTable::num(
                  measured > 0 ? predicted / measured : 0.0, 2)});

@@ -54,20 +54,20 @@ int main(int argc, char** argv) {
 
   bench::apply_duration(grid, args);
   bench::Reporter reporter(args, "fig09_blocksize");
-  const auto aggs =
+  const auto rows =
       reporter.run("fig09_blocksize", grid, bench::series_labels(series));
 
   harness::TextTable table(bench::sweep_headers("clients"));
-  bench::print_series(table, grid, series, aggs);
+  bench::print_series(table, grid, series, rows);
   table.print(std::cout);
 
   double ohs_b100_peak = 0;
   for (const auto& s : series) {
     if (s.label != "OHS-b100") continue;
     for (std::size_t i = 0; i < s.count; ++i) {
-      if (!aggs[s.begin + i]) continue;
-      ohs_b100_peak =
-          std::max(ohs_b100_peak, aggs[s.begin + i]->throughput_tps.mean());
+      const auto& a = rows[s.begin + i].aggregate;
+      if (!a) continue;
+      ohs_b100_peak = std::max(ohs_b100_peak, a->result.throughput_tps);
     }
   }
 

@@ -110,48 +110,47 @@ int main(int argc, char** argv) {
   bench::apply_duration(grid, args);
   bench::apply_duration(quorum_grid, args);
   bench::Reporter reporter(args, "fig09b_cpu");
-  const auto aggs =
+  const auto rows =
       reporter.run("fig09b_cpu", grid, bench::series_labels(series));
-  const auto quorum_aggs = reporter.run("fig09b_quorum", quorum_grid,
+  const auto quorum_rows = reporter.run("fig09b_quorum", quorum_grid,
                                         bench::series_labels(quorum_series));
 
   harness::TextTable table(bench::sweep_headers("sig-us"));
-  bench::print_series(table, grid, series, aggs);
+  bench::print_series(table, grid, series, rows);
   table.print(std::cout);
 
   std::cout << "\n";
   harness::TextTable quorum_table(bench::sweep_headers("replicas"));
-  bench::print_series(quorum_table, quorum_grid, quorum_series, quorum_aggs);
+  bench::print_series(quorum_table, quorum_grid, quorum_series, quorum_rows);
   quorum_table.print(std::cout);
 
   // Crossover + batch-vs-eager summary over the points this process ran
   // (sharded runs only see their own slice; merge with bench_merge).
   auto series_peak = [&](const std::vector<bench::SeriesSlice>& slices,
                          const std::vector<harness::RunSpec>& g,
-                         const std::vector<std::optional<harness::Aggregate>>&
-                             a,
+                         const std::vector<harness::report::SpecRows>& r,
                          const std::string& label,
                          double offered) -> double {
     for (const auto& s : slices) {
       for (std::size_t i = 0; i < s.count; ++i) {
         if (s.label != label) continue;
         if (g[s.begin + i].offered != offered) continue;
-        if (!a[s.begin + i]) continue;
-        return a[s.begin + i]->throughput_tps.mean();
+        if (!r[s.begin + i].aggregate) continue;
+        return r[s.begin + i].aggregate->result.throughput_tps;
       }
     }
     return 0;
   };
   const double max_lambda = lambda_us.back();
-  const double free_thr = series_peak(series, grid, aggs, "eager-w1-b400", 0);
+  const double free_thr = series_peak(series, grid, rows, "eager-w1-b400", 0);
   const double eager_thr =
-      series_peak(series, grid, aggs, "eager-w1-b400", max_lambda);
+      series_peak(series, grid, rows, "eager-w1-b400", max_lambda);
   const double batch_thr =
-      series_peak(series, grid, aggs, "batch-w1-b400", max_lambda);
+      series_peak(series, grid, rows, "batch-w1-b400", max_lambda);
   const double eager_n16 =
-      series_peak(quorum_series, quorum_grid, quorum_aggs, "eager", 16);
+      series_peak(quorum_series, quorum_grid, quorum_rows, "eager", 16);
   const double batch_n16 =
-      series_peak(quorum_series, quorum_grid, quorum_aggs, "batch", 16);
+      series_peak(quorum_series, quorum_grid, quorum_rows, "batch", 16);
 
   std::cout << "\nresult: expect a network->CPU-bound crossover as the\n"
                "per-signature cost grows, batch >= eager at high cost and\n"

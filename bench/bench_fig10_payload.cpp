@@ -48,11 +48,11 @@ int main(int argc, char** argv) {
 
   bench::apply_duration(grid, args);
   bench::Reporter reporter(args, "fig10_payload");
-  const auto aggs =
+  const auto rows =
       reporter.run("fig10_payload", grid, bench::series_labels(series));
 
   harness::TextTable table(bench::sweep_headers("clients"));
-  bench::print_series(table, grid, series, aggs);
+  bench::print_series(table, grid, series, rows);
   table.print(std::cout);
   std::cout << "\nresult: larger payloads cut saturation throughput for\n"
                "every protocol; SL most sensitive; HS/2CHS latency gap\n"

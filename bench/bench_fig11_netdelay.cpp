@@ -62,11 +62,11 @@ int main(int argc, char** argv) {
 
   bench::apply_duration(grid, args);
   bench::Reporter reporter(args, "fig11_netdelay");
-  const auto aggs =
+  const auto rows =
       reporter.run("fig11_netdelay", grid, bench::series_labels(series));
 
   harness::TextTable table(bench::sweep_headers("clients"));
-  bench::print_series(table, grid, series, aggs);
+  bench::print_series(table, grid, series, rows);
   table.print(std::cout);
   std::cout << "\nresult: latency rises with added delay for all protocols;\n"
                "SL approaches 2CHS at d10 (paper Fig. 11).\n";

@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
     }
     return std::string("?");
   };
-  const auto aggs = reporter.run("fig12_scalability", grid, series_of);
+  const auto rows = reporter.run("fig12_scalability", grid, series_of);
+  using harness::RunResult;
 
   harness::TextTable table({"series", "replicas", "thr(KTx/s)", "lat(ms)",
                             "p99(ms)", "views/s", "safety"});
@@ -87,19 +88,22 @@ int main(int argc, char** argv) {
                      std::to_string(cell.n), "(--full)", "", "", "", ""});
       continue;
     }
-    if (!aggs[cell.index]) continue;  // another shard's cell
-    const harness::Aggregate& a = *aggs[cell.index];
-    const double views_per_s = bench::mean_of(a, [](const harness::RunResult& r) {
-      return r.measured_s > 0 ? static_cast<double>(r.views) / r.measured_s
-                              : 0.0;
-    });
+    const harness::report::SpecRows& spec = rows[cell.index];
+    if (!spec.aggregate) continue;  // another shard's cell
+    const harness::report::Record& a = *spec.aggregate;
+    const double views_per_s =
+        bench::per_run_mean(spec, [](const RunResult& r) {
+          return r.measured_s > 0
+                     ? static_cast<double>(r.views) / r.measured_s
+                     : 0.0;
+        });
     table.add_row({std::string(bench::short_name(cell.protocol)),
                    std::to_string(cell.n),
-                   bench::ci_cell(a.throughput_tps, 1e-3, 1),
-                   bench::ci_cell(a.latency_ms_mean, 1.0, 1),
-                   bench::ci_cell(a.latency_ms_p99, 1.0, 1),
+                   bench::ci_cell(a, &RunResult::throughput_tps, 1e-3, 1),
+                   bench::ci_cell(a, &RunResult::latency_ms_mean, 1.0, 1),
+                   bench::ci_cell(a, &RunResult::latency_ms_p99, 1.0, 1),
                    harness::TextTable::num(views_per_s, 0),
-                   a.all_consistent ? "ok" : "VIOLATED"});
+                   a.result.consistent ? "ok" : "VIOLATED"});
   }
   table.print(std::cout);
   std::cout << "\nresult: throughput decreases / latency increases with N;\n"

@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
     return std::string(
         bench::short_name(bench::evaluated_protocols()[index / per_series]));
   };
-  const auto aggs = reporter.run("fig14_silence", grid, series_of);
+  const auto rows = reporter.run("fig14_silence", grid, series_of);
+  using harness::RunResult;
 
   harness::TextTable table({"series", "byz", "thr(KTx/s)", "lat(ms)", "CGR",
                             "CGRv", "BI", "timeouts", "safety"});
@@ -62,19 +63,17 @@ int main(int argc, char** argv) {
   for (const std::string& protocol : bench::evaluated_protocols()) {
     for (std::uint32_t byz : byz_counts) {
       const std::size_t index = i++;
-      if (!aggs[index]) continue;  // another shard's cell
-      const harness::Aggregate& a = *aggs[index];
-      const double timeouts = bench::mean_of(
-          a, [](const harness::RunResult& r) { return r.timeouts; });
+      if (!rows[index].aggregate) continue;  // another shard's cell
+      const harness::report::Record& a = *rows[index].aggregate;
       table.add_row({std::string(bench::short_name(protocol)),
                      std::to_string(byz),
-                     bench::ci_cell(a.throughput_tps, 1e-3, 1),
-                     bench::ci_cell(a.latency_ms_mean, 1.0, 1),
-                     bench::ci_cell(a.cgr_per_block, 1.0, 2),
-                     bench::ci_cell(a.cgr_per_view, 1.0, 2),
-                     bench::ci_cell(a.block_interval, 1.0, 1),
-                     harness::TextTable::num(timeouts, 0),
-                     a.all_consistent ? "ok" : "VIOLATED"});
+                     bench::ci_cell(a, &RunResult::throughput_tps, 1e-3, 1),
+                     bench::ci_cell(a, &RunResult::latency_ms_mean, 1.0, 1),
+                     bench::ci_cell(a, &RunResult::cgr_per_block, 1.0, 2),
+                     bench::ci_cell(a, &RunResult::cgr_per_view, 1.0, 2),
+                     bench::ci_cell(a, &RunResult::block_interval, 1.0, 1),
+                     std::to_string(a.result.timeouts),
+                     a.result.consistent ? "ok" : "VIOLATED"});
     }
   }
   table.print(std::cout);

@@ -34,13 +34,15 @@ bamboo::core::Config base_config(const std::string& protocol,
 }
 
 void add_wan_row(bamboo::harness::TextTable& table, const std::string& label,
-                 double offered, const bamboo::harness::Aggregate& agg) {
+                 double offered, const bamboo::harness::report::Record& agg) {
+  using bamboo::bench::ci_cell;
+  using bamboo::harness::RunResult;
   table.add_row({label, bamboo::harness::TextTable::num(offered, 0),
-                 bamboo::bench::ci_cell(agg.throughput_tps, 1e-3, 1),
-                 bamboo::bench::ci_cell(agg.latency_ms_mean, 1.0, 1),
-                 bamboo::bench::ci_cell(agg.latency_ms_p99, 1.0, 1),
-                 bamboo::bench::ci_cell(agg.cgr_per_block, 1.0, 3),
-                 agg.all_consistent ? "ok" : "VIOLATED"});
+                 ci_cell(agg, &RunResult::throughput_tps, 1e-3, 1),
+                 ci_cell(agg, &RunResult::latency_ms_mean, 1.0, 1),
+                 ci_cell(agg, &RunResult::latency_ms_p99, 1.0, 1),
+                 ci_cell(agg, &RunResult::cgr_per_block, 1.0, 3),
+                 agg.result.consistent ? "ok" : "VIOLATED"});
 }
 
 }  // namespace
@@ -108,9 +110,9 @@ int main(int argc, char** argv) {
   bench::apply_duration(dist_grid, args);
   bench::apply_duration(topo_grid, args);
   bench::Reporter reporter(args, "fig16_wan");
-  const auto dist_aggs = reporter.run("fig16_wan_dist", dist_grid,
+  const auto dist_rows = reporter.run("fig16_wan_dist", dist_grid,
                                       bench::series_labels(dist_series));
-  const auto topo_aggs = reporter.run("fig16_wan_topo", topo_grid,
+  const auto topo_rows = reporter.run("fig16_wan_topo", topo_grid,
                                       bench::series_labels(topo_series));
 
   const std::vector<std::string> headers = {
@@ -120,9 +122,9 @@ int main(int argc, char** argv) {
     harness::TextTable table(headers);
     for (const bench::SeriesSlice& s : dist_series) {
       for (std::size_t i = 0; i < s.count; ++i) {
-        if (!dist_aggs[s.begin + i]) continue;  // another shard's spec
-        add_wan_row(table, s.label, dist_grid[s.begin + i].offered,
-                    *dist_aggs[s.begin + i]);
+        const auto& agg = dist_rows[s.begin + i].aggregate;
+        if (!agg) continue;  // another shard's spec
+        add_wan_row(table, s.label, dist_grid[s.begin + i].offered, *agg);
       }
     }
     table.print(std::cout);
@@ -132,9 +134,9 @@ int main(int argc, char** argv) {
     harness::TextTable table(headers);
     for (const bench::SeriesSlice& s : topo_series) {
       for (std::size_t i = 0; i < s.count; ++i) {
-        if (!topo_aggs[s.begin + i]) continue;
-        add_wan_row(table, s.label, topo_grid[s.begin + i].offered,
-                    *topo_aggs[s.begin + i]);
+        const auto& agg = topo_rows[s.begin + i].aggregate;
+        if (!agg) continue;
+        add_wan_row(table, s.label, topo_grid[s.begin + i].offered, *agg);
       }
     }
     table.print(std::cout);

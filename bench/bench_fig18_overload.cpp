@@ -19,35 +19,27 @@
 #include "bench_common.h"
 #include "client/workload.h"
 #include "model/perf_model.h"
-#include "util/histogram.h"
 
 namespace {
 
-/// Histogram-backed sweep row: offered vs goodput plus exact tails. The
-/// quantiles come from the merge of every rep's histogram — the same fold
-/// the persisted aggregate rows use — not from averaging per-rep quantiles.
+/// Sweep row: offered vs goodput plus exact tails. The aggregate row's
+/// quantiles come from the merge of every rep's histogram, not from
+/// averaging per-rep quantiles.
 void add_overload_row(bamboo::harness::TextTable& table,
                       const std::string& label, double lambda,
-                      const bamboo::harness::Aggregate& agg) {
+                      const bamboo::harness::report::Record& agg) {
+  using bamboo::bench::ci_cell;
+  using bamboo::harness::RunResult;
   using bamboo::harness::TextTable;
-  bamboo::util::LatencyHistogram hist;
-  for (const bamboo::harness::RunResult& r : agg.results) {
-    if (!r.latency_hist.empty()) {
-      hist.merge(bamboo::util::LatencyHistogram::decode(r.latency_hist));
-    }
-  }
-  const double offered = bamboo::bench::mean_of(
-      agg, [](const bamboo::harness::RunResult& r) { return r.offered_tps; });
-  const double rejected = bamboo::bench::mean_of(
-      agg, [](const bamboo::harness::RunResult& r) { return r.mem_rejected; });
+  const RunResult& r = agg.result;
   table.add_row({label, TextTable::num(lambda, 0),
-                 TextTable::num(offered / 1e3, 1),
-                 bamboo::bench::ci_cell(agg.throughput_tps, 1e-3, 1),
-                 TextTable::num(hist.empty() ? 0 : hist.quantile(0.50), 1),
-                 TextTable::num(hist.empty() ? 0 : hist.quantile(0.99), 1),
-                 TextTable::num(hist.empty() ? 0 : hist.quantile(0.999), 1),
-                 TextTable::num(rejected, 0),
-                 agg.all_consistent ? "ok" : "VIOLATED"});
+                 TextTable::num(r.offered_tps / 1e3, 1),
+                 ci_cell(agg, &RunResult::throughput_tps, 1e-3, 1),
+                 TextTable::num(r.hist_p50_ms, 1),
+                 TextTable::num(r.hist_p99_ms, 1),
+                 TextTable::num(r.hist_p999_ms, 1),
+                 std::to_string(r.mem_rejected),
+                 r.consistent ? "ok" : "VIOLATED"});
 }
 
 const std::vector<std::string>& overload_headers() {
@@ -144,18 +136,18 @@ int main(int argc, char** argv) {
   bench::apply_duration(adm_grid, args);
   bench::Reporter reporter(args, "fig18_overload");
 
-  const auto sat_aggs =
+  const auto sat_rows =
       reporter.run("fig18_saturation", sat_grid, bench::series_labels(sat_series));
-  const auto adm_aggs =
+  const auto adm_rows =
       reporter.run("fig18_admission", adm_grid, bench::series_labels(adm_series));
 
   std::cout << "--- saturation: goodput & tails vs offered load ---\n";
   harness::TextTable sat_table(overload_headers());
   for (const bench::SeriesSlice& s : sat_series) {
     for (std::size_t i = 0; i < s.count; ++i) {
-      if (!sat_aggs[s.begin + i]) continue;  // another shard's point
-      add_overload_row(sat_table, s.label, sat_grid[s.begin + i].offered,
-                       *sat_aggs[s.begin + i]);
+      const auto& agg = sat_rows[s.begin + i].aggregate;
+      if (!agg) continue;  // another shard's point
+      add_overload_row(sat_table, s.label, sat_grid[s.begin + i].offered, *agg);
     }
   }
   sat_table.print(std::cout);
@@ -164,9 +156,9 @@ int main(int argc, char** argv) {
   harness::TextTable adm_table(overload_headers());
   for (const bench::SeriesSlice& s : adm_series) {
     for (std::size_t i = 0; i < s.count; ++i) {
-      if (!adm_aggs[s.begin + i]) continue;
-      add_overload_row(adm_table, s.label, adm_grid[s.begin + i].offered,
-                       *adm_aggs[s.begin + i]);
+      const auto& agg = adm_rows[s.begin + i].aggregate;
+      if (!agg) continue;
+      add_overload_row(adm_table, s.label, adm_grid[s.begin + i].offered, *agg);
     }
   }
   adm_table.print(std::cout);

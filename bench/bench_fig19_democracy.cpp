@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   const auto series_of = [&](std::size_t index) {
     return std::string(bench::short_name(protocols[index / per_series]));
   };
-  const auto aggs = reporter.run("fig19_democracy", grid, series_of);
+  const auto rows = reporter.run("fig19_democracy", grid, series_of);
 
   harness::TextTable table({"series", "scenario", "thr(KTx/s)", "CQ",
                             "share-max", "gini", "commits", "views",
@@ -98,30 +98,19 @@ int main(int argc, char** argv) {
   for (const std::string& protocol : protocols) {
     for (const Scenario& sc : scenarios) {
       const std::size_t index = i++;
-      if (!aggs[index]) continue;  // another shard's cell
-      const harness::Aggregate& a = *aggs[index];
-      // Pool the per-rep proposer counts and recompute the scalars from
-      // the pooled map — the same fold the report aggregate row uses.
-      std::map<types::NodeId, std::uint64_t> counts;
-      for (const harness::RunResult& r : a.results) {
-        for (const auto& [id, c] : harness::decode_commit_share(r.commit_share)) {
-          counts[id] += c;
-        }
-      }
-      const harness::DemocracyScalars dem =
-          harness::democracy_scalars(counts, 16, sc.byz);
-      const double commits = bench::mean_of(
-          a, [](const harness::RunResult& r) { return r.blocks_committed; });
-      const double views = bench::mean_of(
-          a, [](const harness::RunResult& r) { return r.views; });
+      if (!rows[index].aggregate) continue;  // another shard's cell
+      // The aggregate row derives the democracy scalars from the pooled
+      // per-proposer counts of every rep.
+      const harness::report::Record& a = *rows[index].aggregate;
       table.add_row({std::string(bench::short_name(protocol)), sc.label,
-                     bench::ci_cell(a.throughput_tps, 1e-3, 1),
-                     harness::TextTable::num(dem.chain_quality, 3),
-                     harness::TextTable::num(dem.commit_share_max, 3),
-                     harness::TextTable::num(dem.proposer_gini, 3),
-                     harness::TextTable::num(commits, 0),
-                     harness::TextTable::num(views, 0),
-                     a.all_consistent ? "ok" : "VIOLATED"});
+                     bench::ci_cell(a, &harness::RunResult::throughput_tps,
+                                    1e-3, 1),
+                     harness::TextTable::num(a.result.chain_quality, 3),
+                     harness::TextTable::num(a.result.commit_share_max, 3),
+                     harness::TextTable::num(a.result.proposer_gini, 3),
+                     std::to_string(a.result.blocks_committed),
+                     std::to_string(a.result.views),
+                     a.result.consistent ? "ok" : "VIOLATED"});
     }
   }
   table.print(std::cout);

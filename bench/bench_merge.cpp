@@ -2,8 +2,8 @@
 // processes (possibly on N machines) and regenerate the per-spec aggregate
 // rows + 95% CIs. The merged directory is bit-identical to what the same
 // bench writes unsharded: per-run rows are reordered by (artifact,
-// spec_index, rep) and aggregates are refolded in rep order through the
-// exact RunningStats::merge path the unsharded run uses.
+// spec_index, rep) and aggregates are refolded in rep order by the same
+// report::make_aggregate_record fold the unsharded run uses.
 //
 //   bench_merge --out merged/ shards/            # dir: reads manifest*.json
 //   bench_merge --out merged/ a/manifest.shard1of3.json b/... c/...
@@ -147,15 +147,15 @@ int main(int argc, char** argv) {
               << bench << "' -> " << out_dir << "\n\n";
     harness::TextTable table({"artifact", "series", "offered", "reps",
                               "thr(KTx/s)", "lat(ms)", "safety"});
+    using harness::RunResult;
+    using harness::report::ci_cell;
     for (const Record& r : merged) {
       if (r.kind != "aggregate") continue;
       table.add_row(
           {r.artifact, r.series, harness::TextTable::num(r.prov.offered, 0),
            std::to_string(r.reps),
-           harness::TextTable::num(r.result.throughput_tps / 1e3, 1) + "±" +
-               harness::TextTable::num(r.ci.throughput_tps / 1e3, 1),
-           harness::TextTable::num(r.result.latency_ms_mean, 1) + "±" +
-               harness::TextTable::num(r.ci.latency_ms_mean, 1),
+           ci_cell(r, &RunResult::throughput_tps, 1e-3, 1),
+           ci_cell(r, &RunResult::latency_ms_mean, 1.0, 1),
            r.result.consistent ? "ok" : "VIOLATED"});
     }
     table.print(std::cout);

@@ -41,27 +41,27 @@ int main(int argc, char** argv) {
   auto grid = harness::open_loop_specs(cfg, wl, rates, opts);
   bench::apply_duration(grid, args);
   bench::Reporter reporter(args, "table2_arrival");
-  const auto aggs = reporter.run(
+  const auto rows = reporter.run(
       "table2_arrival", grid, [](std::size_t) { return std::string("HS"); });
 
   harness::TextTable table({"Arrival rate (Tx/s)", "Throughput (Tx/s)",
                             "ratio", "lat(ms)"});
   bool all_tracking = true;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!aggs[i]) continue;  // another shard's row
-    const harness::Aggregate& a = *aggs[i];
+    if (!rows[i].aggregate) continue;  // another shard's row
+    const harness::report::Record& a = *rows[i].aggregate;
     const double offered = grid[i].offered;
-    const double ratio = a.throughput_tps.mean() / offered;
+    const double ratio = a.result.throughput_tps / offered;
     if (ratio < 0.97 || ratio > 1.03) all_tracking = false;
     table.add_row(
         {harness::TextTable::count(static_cast<std::uint64_t>(offered)),
          harness::TextTable::count(
-             static_cast<std::uint64_t>(a.throughput_tps.mean())) +
+             static_cast<std::uint64_t>(a.result.throughput_tps)) +
              "±" +
              harness::TextTable::count(
-                 static_cast<std::uint64_t>(a.throughput_tps.ci95())),
+                 static_cast<std::uint64_t>(a.ci.throughput_tps)),
          harness::TextTable::num(ratio, 3),
-         bench::ci_cell(a.latency_ms_mean, 1.0, 1)});
+         bench::ci_cell(a, &harness::RunResult::latency_ms_mean, 1.0, 1)});
   }
   table.print(std::cout);
   std::cout << "\nresult: throughput "

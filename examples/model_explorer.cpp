@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "client/workload.h"
+#include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/table.h"
 #include "model/order_stats.h"
@@ -120,18 +121,20 @@ int main() {
       grid.push_back(std::move(spec));
     }
     harness::ParallelRunner runner;
-    const auto grid_run = runner.run_repeated_grid(grid, 3);
+    const auto rows = harness::report::grid_rows(
+        "model_explorer", "sanity", grid, runner.run_repeated_grid(grid, 3),
+        [&](std::size_t i) { return protocols[i]; });
 
     harness::TextTable table({"protocol", "lambda(Tx/s)", "engine lat(ms)",
-                              "±95% CI", "model lat(ms)"});
+                              "model lat(ms)"});
     for (std::size_t i = 0; i < protocols.size(); ++i) {
       // Predict from the exact config that was measured.
       const model::PerfModel pm(grid[i].cfg);
-      const harness::Aggregate& agg = *grid_run.aggregates[i];
       table.add_row({protocols[i],
                      harness::TextTable::num(grid[i].offered, 0),
-                     harness::TextTable::num(agg.latency_ms_mean.mean(), 1),
-                     harness::TextTable::num(agg.latency_ms_mean.ci95(), 1),
+                     harness::report::ci_cell(
+                         *rows[i].aggregate,
+                         &harness::RunResult::latency_ms_mean, 1.0, 1),
                      harness::TextTable::num(
                          pm.latency_ms(grid[i].offered), 1)});
     }

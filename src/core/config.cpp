@@ -112,9 +112,6 @@ Config Config::from_json(const util::Json& j) {
       "delay_jitter", sim::to_milliseconds(c.delay_jitter)));
   c.timeout = sim::from_milliseconds(j.get_number(
       "timeout", sim::to_milliseconds(c.timeout)));
-  c.runtime_s = j.get_number("runtime", c.runtime_s);
-  c.concurrency =
-      static_cast<std::uint32_t>(j.get_int("concurrency", c.concurrency));
   c.protocol = j.get_string("protocol", c.protocol);
   c.propose_wait_after_vc = sim::from_milliseconds(j.get_number(
       "propose_wait_ms", sim::to_milliseconds(c.propose_wait_after_vc)));
@@ -176,62 +173,6 @@ Config Config::from_json(const util::Json& j) {
       c.cpu_verify_batch_per_sig / sim::kMicrosecond));
   c.validate();
   return c;
-}
-
-util::Json Config::to_json() const {
-  util::Json::Object o;
-  o.emplace("n", util::Json(static_cast<std::int64_t>(n_replicas)));
-  o.emplace("election", util::Json(election));
-  o.emplace("strategy", util::Json(strategy));
-  o.emplace("byzNo", util::Json(static_cast<std::int64_t>(byz_no)));
-  o.emplace("bsize", util::Json(static_cast<std::int64_t>(bsize)));
-  o.emplace("memsize", util::Json(static_cast<std::int64_t>(memsize)));
-  o.emplace("psize", util::Json(static_cast<std::int64_t>(psize)));
-  o.emplace("delay", util::Json(sim::to_milliseconds(delay)));
-  o.emplace("timeout", util::Json(sim::to_milliseconds(timeout)));
-  o.emplace("runtime", util::Json(runtime_s));
-  o.emplace("concurrency", util::Json(static_cast<std::int64_t>(concurrency)));
-  o.emplace("protocol", util::Json(protocol));
-  o.emplace("seed", util::Json(static_cast<std::int64_t>(seed)));
-  o.emplace("bandwidth_bps", util::Json(bandwidth_bps));
-  o.emplace("link_model", util::Json(link_model));
-  o.emplace("link_shape", util::Json(link_shape));
-  o.emplace("link_loss", util::Json(link_loss));
-  o.emplace("topology", util::Json(topology));
-  o.emplace("churn", util::Json(churn));
-  o.emplace("ge_p", util::Json(ge_p));
-  o.emplace("ge_r", util::Json(ge_r));
-  o.emplace("ge_loss_good", util::Json(ge_loss_good));
-  o.emplace("ge_loss_bad", util::Json(ge_loss_bad));
-  o.emplace("admission", util::Json(admission));
-  o.emplace("sync_batch", util::Json(static_cast<std::int64_t>(sync_batch)));
-  o.emplace("sync_timeout_ms",
-            util::Json(sim::to_milliseconds(sync_timeout)));
-  o.emplace("sync_retries",
-            util::Json(static_cast<std::int64_t>(sync_retries)));
-  o.emplace("sync_pipeline",
-            util::Json(static_cast<std::int64_t>(sync_pipeline)));
-  o.emplace("snapshot_gap",
-            util::Json(static_cast<std::int64_t>(snapshot_gap)));
-  o.emplace("snapshot_chunk",
-            util::Json(static_cast<std::int64_t>(snapshot_chunk)));
-  o.emplace("store", util::Json(store));
-  o.emplace("retention", util::Json(static_cast<std::int64_t>(retention)));
-  o.emplace("store_append_us",
-            util::Json(store_append_latency / sim::kMicrosecond));
-  o.emplace("store_read_us",
-            util::Json(store_read_latency / sim::kMicrosecond));
-  o.emplace("rtt_ms", util::Json(sim::to_milliseconds(rtt_mean)));
-  o.emplace("verify_strategy", util::Json(verify_strategy));
-  o.emplace("cpu_workers",
-            util::Json(static_cast<std::int64_t>(cpu_workers)));
-  o.emplace("cpu_verify_per_sig_us",
-            util::Json(cpu_verify_per_sig / sim::kMicrosecond));
-  o.emplace("cpu_verify_batch_base_us",
-            util::Json(cpu_verify_batch_base / sim::kMicrosecond));
-  o.emplace("cpu_verify_batch_per_sig_us",
-            util::Json(cpu_verify_batch_per_sig / sim::kMicrosecond));
-  return util::Json(std::move(o));
 }
 
 }  // namespace bamboo::core

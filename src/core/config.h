@@ -59,8 +59,6 @@ struct Config {
   sim::Duration delay = 0;              ///< added one-way network delay
   sim::Duration delay_jitter = 0;       ///< stddev of the added delay
   sim::Duration timeout = sim::milliseconds(100);  ///< view timeout
-  double runtime_s = 30.0;              ///< client run period (simulated)
-  std::uint32_t concurrency = 10;       ///< closed-loop client sessions
 
   // --- protocol ----------------------------------------------------------
   std::string protocol = "hotstuff";  ///< hotstuff | 2chs | streamlet |
@@ -210,8 +208,9 @@ struct Config {
   void validate() const;
 
   /// Load overrides from a Bamboo-style JSON object; unknown keys ignored.
+  /// Client load is not a Config key: it comes from
+  /// client::WorkloadConfig and the run windows from harness::RunOptions.
   static Config from_json(const util::Json& j);
-  [[nodiscard]] util::Json to_json() const;
 };
 
 }  // namespace bamboo::core

@@ -14,8 +14,10 @@
 #include <variant>
 
 #include "core/churn.h"
+#include "harness/table.h"
 #include "sim/time.h"
 #include "util/histogram.h"
+#include "util/stats.h"
 
 namespace bamboo::harness::report {
 
@@ -24,9 +26,9 @@ namespace {
 constexpr const char* kRecordSchema = "bamboo.report/v1";
 constexpr const char* kManifestSchema = "bamboo.report.manifest/v1";
 
-/// The one-sample merge harness::Aggregate::add uses; every aggregate
-/// statistic must go through this exact path so regenerating a row from
-/// shard files is bit-identical to the unsharded fold.
+/// Every aggregate statistic merges one-sample accumulators in rep order
+/// through this path, so a row regenerated from shard files is
+/// bit-identical to the unsharded fold.
 void fold(util::RunningStats& stats, double value) {
   util::RunningStats one;
   one.add(value);
@@ -233,6 +235,41 @@ Record make_aggregate_record(const std::string& bench,
                              const std::vector<RunResult>& results) {
   return aggregate_from(bench, artifact, series, spec_index,
                         provenance_of(spec, 0), results);
+}
+
+std::vector<SpecRows> grid_rows(
+    const std::string& bench, const std::string& artifact,
+    const std::vector<RunSpec>& grid, const GridRun& run,
+    const std::function<std::string(std::size_t)>& series_of) {
+  std::vector<SpecRows> rows(grid.size());
+  for (const GridRun::Job& job : run.jobs) {
+    const std::uint32_t s = job.spec_index;
+    rows[s].runs.push_back(make_run_record(bench, artifact, series_of(s), s,
+                                           grid[s], job.rep, run.reps,
+                                           job.result));
+  }
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    if (rows[s].runs.size() != run.reps) continue;  // partial rep set
+    std::vector<RunResult> results;
+    results.reserve(run.reps);
+    for (const Record& r : rows[s].runs) results.push_back(r.result);
+    rows[s].aggregate = make_aggregate_record(
+        bench, artifact, rows[s].runs.front().series,
+        static_cast<std::uint32_t>(s), grid[s], results);
+  }
+  return rows;
+}
+
+std::string ci_cell(const Record& row, double RunResult::*metric,
+                    double scale, int precision) {
+  for (const Metric& m : run_metrics()) {
+    const auto* member = std::get_if<double RunResult::*>(&m.member);
+    if (member == nullptr || *member != metric) continue;
+    if (m.ci == nullptr) break;
+    return TextTable::num(row.result.*metric * scale, precision) + "±" +
+           TextTable::num(row.ci.*m.ci * scale, precision);
+  }
+  throw std::invalid_argument("ci_cell: metric has no _ci95 column");
 }
 
 std::vector<Record> make_timeline_records(const std::string& bench,

@@ -14,6 +14,7 @@
 // unsharded run — the library core of the bench_merge tool.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -134,15 +135,38 @@ Record make_run_record(const std::string& bench, const std::string& artifact,
                        std::uint32_t reps, const RunResult& result);
 
 /// Fold `results` (rep order, rep r under seed base + r) into an aggregate
-/// row, each metric by its Fold rule in run_metrics(). Statistics go
-/// through the same RunningStats::merge path as harness::Aggregate, so a
-/// row regenerated from merged shard files is bit-identical to the one
-/// the unsharded run emits.
+/// row, each metric by its Fold rule in run_metrics(). This is the one
+/// fold between runs and anything that reads them: benches print its
+/// rows, --out persists them, and merge_records regenerates them from
+/// shard files bit-identically, since every statistic is built by merging
+/// one-sample util::RunningStats in rep order.
 Record make_aggregate_record(const std::string& bench,
                              const std::string& artifact,
                              const std::string& series,
                              std::uint32_t spec_index, const RunSpec& spec,
                              const std::vector<RunResult>& results);
+
+/// One spec of a repeated grid run, as readers and the artifact files see
+/// it: the run rows this shard executed, in rep order, and the aggregate
+/// row when the whole rep set ran here.
+struct SpecRows {
+  std::vector<Record> runs;
+  std::optional<Record> aggregate;
+};
+
+/// rows[s] for every spec s of `grid`: one run row per executed job of
+/// `run` and, for a complete rep set, make_aggregate_record over it.
+/// Specs owned by other shards come back with no rows at all.
+std::vector<SpecRows> grid_rows(
+    const std::string& bench, const std::string& artifact,
+    const std::vector<RunSpec>& grid, const GridRun& run,
+    const std::function<std::string(std::size_t)>& series_of);
+
+/// "mean±ci" table cell for a kMeanCi metric of an aggregate row: the
+/// row's mean and its `_ci95` half-width, both times `scale`. Throws
+/// std::invalid_argument for a metric with no CI column.
+std::string ci_cell(const Record& row, double RunResult::*metric,
+                    double scale, int precision);
 
 /// One kind == "timeline" row per throughput bucket of `out` (empty when
 /// the run captured no timeline). Persisting buckets as records lets

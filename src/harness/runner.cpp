@@ -1,6 +1,5 @@
 #include "harness/runner.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -115,28 +114,6 @@ Shard Shard::parse(const std::string& text) {
                static_cast<std::uint32_t>(n)};
 }
 
-double MetricSummary::ci95() const { return stats.ci95(); }
-
-void Aggregate::add(const RunResult& r) {
-  ++runs;
-  // One single-sample accumulator per metric, merged in: the aggregate is
-  // a pure fold over results in seed order, independent of which thread
-  // produced each result.
-  const auto merge_one = [](MetricSummary& summary, double value) {
-    util::RunningStats one;
-    one.add(value);
-    summary.stats.merge(one);
-  };
-  merge_one(throughput_tps, r.throughput_tps);
-  merge_one(latency_ms_mean, r.latency_ms_mean);
-  merge_one(latency_ms_p99, r.latency_ms_p99);
-  merge_one(cgr_per_view, r.cgr_per_view);
-  merge_one(cgr_per_block, r.cgr_per_block);
-  merge_one(block_interval, r.block_interval);
-  all_consistent = all_consistent && r.consistent;
-  safety_violations += r.safety_violations;
-}
-
 unsigned ParallelRunner::resolve_threads(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("BAMBOO_THREADS")) {
@@ -165,26 +142,11 @@ std::vector<RunOutput> ParallelRunner::run_full(
   return outputs;
 }
 
-Aggregate ParallelRunner::run_repeated(const RunSpec& spec,
-                                       std::uint32_t repetitions,
-                                       std::uint64_t base_seed) {
-  if (base_seed == 0) base_seed = spec.cfg.seed;
-  std::vector<RunSpec> specs;
-  specs.reserve(repetitions);
-  for (std::uint32_t i = 0; i < repetitions; ++i) {
-    specs.push_back(spec.with_seed(base_seed + i));
-  }
-  Aggregate agg;
-  agg.results = run(specs);
-  for (const RunResult& r : agg.results) agg.add(r);
-  return agg;
-}
-
 GridRun ParallelRunner::run_repeated_grid(const std::vector<RunSpec>& grid,
                                           std::uint32_t reps, Shard shard) {
   if (reps == 0) reps = 1;
   GridRun out;
-  out.aggregates.resize(grid.size());
+  out.reps = reps;
 
   // This shard's slice of the flattened spec-major, rep-minor job list.
   std::vector<RunSpec> owned_specs;
@@ -201,24 +163,6 @@ GridRun ParallelRunner::run_repeated_grid(const std::vector<RunSpec>& grid,
   const std::vector<RunResult> results = run(owned_specs);
   for (std::size_t i = 0; i < results.size(); ++i) {
     out.jobs[i].result = results[i];
-  }
-
-  // Fold per-spec aggregates in rep order; only specs whose whole rep set
-  // ran here get one (always true when sharding is disabled).
-  std::size_t i = 0;
-  while (i < out.jobs.size()) {
-    const std::uint32_t s = out.jobs[i].spec_index;
-    std::size_t end = i;
-    while (end < out.jobs.size() && out.jobs[end].spec_index == s) ++end;
-    if (end - i == reps) {
-      Aggregate agg;
-      for (std::size_t j = i; j < end; ++j) {
-        agg.results.push_back(out.jobs[j].result);
-        agg.add(out.jobs[j].result);
-      }
-      out.aggregates[s] = std::move(agg);
-    }
-    i = end;
   }
   return out;
 }

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.h"
-#include "util/stats.h"
 
 namespace bamboo::harness {
 
@@ -38,52 +36,18 @@ struct RunnerOptions {
   unsigned threads = 0;
 };
 
-/// One metric aggregated across repeated (multi-seed) runs.
-struct MetricSummary {
-  util::RunningStats stats;
-
-  [[nodiscard]] double mean() const { return stats.mean(); }
-  [[nodiscard]] double stddev() const { return stats.stddev(); }
-  /// Half-width of the 95% confidence interval on the mean (Student-t
-  /// critical values, exact at the small rep counts benches use).
-  [[nodiscard]] double ci95() const;
-};
-
-/// Cross-seed aggregate of the headline metrics. Built by merging one
-/// single-run accumulator per seed, in seed order, via
-/// util::RunningStats::merge — so the aggregate is deterministic no matter
-/// how the underlying runs were scheduled across threads.
-struct Aggregate {
-  std::size_t runs = 0;
-  MetricSummary throughput_tps;
-  MetricSummary latency_ms_mean;
-  MetricSummary latency_ms_p99;
-  MetricSummary cgr_per_view;
-  MetricSummary cgr_per_block;
-  MetricSummary block_interval;
-  bool all_consistent = true;
-  std::uint64_t safety_violations = 0;
-  /// Per-seed results in seed order (results[i] ran seed base_seed + i).
-  std::vector<RunResult> results;
-
-  /// Fold one run into the aggregate (call in deterministic order).
-  void add(const RunResult& r);
-};
-
-/// Output of ParallelRunner::run_repeated_grid: the executed jobs (this
-/// shard's slice of the flattened spec × rep list) and per-spec aggregates.
+/// Output of ParallelRunner::run_repeated_grid: the executed jobs, this
+/// shard's slice of the flattened spec × rep list. report::grid_rows folds
+/// them into aggregate rows.
 struct GridRun {
   struct Job {
     std::uint32_t spec_index = 0;
     std::uint32_t rep = 0;  ///< repetition index; ran seed base_seed + rep
     RunResult result;
   };
+  std::uint32_t reps = 1;  ///< repetitions per spec (the full rep set)
   /// Jobs this shard executed, ordered by flattened job index.
   std::vector<Job> jobs;
-  /// aggregates[i] is the rep-order fold for grid[i]; disengaged when this
-  /// shard did not execute every rep of spec i (merge across shards with
-  /// bench_merge / report::merge_records).
-  std::vector<std::optional<Aggregate>> aggregates;
 };
 
 /// Fans independent RunSpecs across a pool of std::threads.
@@ -113,20 +77,13 @@ class ParallelRunner {
   /// As run(), but keeps each run's optional throughput timeline.
   std::vector<RunOutput> run_full(const std::vector<RunSpec>& specs);
 
-  /// Multi-seed repetition: execute `spec` under seeds base_seed + 0..n-1
-  /// in parallel and aggregate the headline metrics with confidence
-  /// intervals. base_seed = 0 reuses the spec's own seed as the base.
-  Aggregate run_repeated(const RunSpec& spec, std::uint32_t repetitions,
-                         std::uint64_t base_seed = 0);
-
   /// Multi-seed repetition across a whole grid, with optional cross-process
   /// sharding. The flattened job list is spec-major, rep-minor (job
   /// j = spec_index * reps + rep; rep r runs seed spec.cfg.seed + r); the
   /// shard executes only the jobs it owns, all in one submission so every
-  /// series overlaps. Aggregates are folded per spec in rep order and
-  /// reported only for specs whose reps all ran in this shard — a sharded
-  /// process holds partial rep sets, which bench_merge recombines into
-  /// aggregates bit-identical to the unsharded run.
+  /// series overlaps. A sharded process holds partial rep sets, which
+  /// bench_merge recombines into aggregates bit-identical to the unsharded
+  /// run.
   GridRun run_repeated_grid(const std::vector<RunSpec>& grid,
                             std::uint32_t reps, Shard shard = {});
 

@@ -1,4 +1,4 @@
-// Tests for Config: defaults mirroring Table I, JSON round trip,
+// Tests for Config: defaults mirroring Table I, loading from JSON,
 // validation, derived quantities, Byzantine assignment.
 
 #include <gtest/gtest.h>
@@ -20,8 +20,6 @@ TEST(Config, TableIDefaults) {
   EXPECT_EQ(cfg.psize, 0u);
   EXPECT_EQ(cfg.delay, 0);
   EXPECT_EQ(cfg.timeout, sim::milliseconds(100));
-  EXPECT_DOUBLE_EQ(cfg.runtime_s, 30.0);
-  EXPECT_EQ(cfg.concurrency, 10u);
 }
 
 TEST(Config, DerivedQuantities) {
@@ -75,6 +73,9 @@ TEST(Config, StrategyParsing) {
 }
 
 TEST(Config, FromJsonOverrides) {
+  // "concurrency" is a Bamboo config key but not a Config option (client
+  // load comes from client::WorkloadConfig); like any unknown key, it is
+  // ignored.
   const auto j = util::Json::parse(R"({
     "n": 8, "bsize": 100, "psize": 128, "delay": 5.0, "timeout": 50,
     "strategy": "forking", "byzNo": 2, "protocol": "streamlet",
@@ -89,12 +90,11 @@ TEST(Config, FromJsonOverrides) {
   EXPECT_EQ(cfg.strategy, "forking");
   EXPECT_EQ(cfg.byz_no, 2u);
   EXPECT_EQ(cfg.protocol, "streamlet");
-  EXPECT_EQ(cfg.concurrency, 64u);
   EXPECT_EQ(cfg.seed, 77u);
   EXPECT_EQ(cfg.rtt_mean, sim::milliseconds(2));
 }
 
-TEST(Config, WanScenarioFieldsRoundTripThroughJson) {
+TEST(Config, WanScenarioFieldsLoadFromJson) {
   const auto j = util::Json::parse(R"({
     "link_model": "pareto", "link_shape": 2.5, "link_loss": 0.05,
     "topology": "wan:3:40,120"
@@ -104,11 +104,6 @@ TEST(Config, WanScenarioFieldsRoundTripThroughJson) {
   EXPECT_DOUBLE_EQ(cfg.link_shape, 2.5);
   EXPECT_DOUBLE_EQ(cfg.link_loss, 0.05);
   EXPECT_EQ(cfg.topology, "wan:3:40,120");
-  const auto back = core::Config::from_json(cfg.to_json());
-  EXPECT_EQ(back.link_model, cfg.link_model);
-  EXPECT_DOUBLE_EQ(back.link_shape, cfg.link_shape);
-  EXPECT_DOUBLE_EQ(back.link_loss, cfg.link_loss);
-  EXPECT_EQ(back.topology, cfg.topology);
   // Defaults are the bit-compatible legacy network.
   const core::Config defaults;
   EXPECT_EQ(defaults.link_model, "normal");
@@ -120,7 +115,7 @@ TEST(Config, WanScenarioFieldsRoundTripThroughJson) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
-TEST(Config, StorageAndSnapshotFieldsRoundTripThroughJson) {
+TEST(Config, StorageAndSnapshotFieldsLoadFromJson) {
   const auto j = util::Json::parse(R"({
     "sync_pipeline": 4, "snapshot_gap": 128, "snapshot_chunk": 1024,
     "store": "file", "retention": 512, "store_append_us": 50,
@@ -134,14 +129,6 @@ TEST(Config, StorageAndSnapshotFieldsRoundTripThroughJson) {
   EXPECT_EQ(cfg.retention, 512u);
   EXPECT_EQ(cfg.store_append_latency, sim::microseconds(50));
   EXPECT_EQ(cfg.store_read_latency, sim::microseconds(10));
-  const auto back = core::Config::from_json(cfg.to_json());
-  EXPECT_EQ(back.sync_pipeline, cfg.sync_pipeline);
-  EXPECT_EQ(back.snapshot_gap, cfg.snapshot_gap);
-  EXPECT_EQ(back.snapshot_chunk, cfg.snapshot_chunk);
-  EXPECT_EQ(back.store, cfg.store);
-  EXPECT_EQ(back.retention, cfg.retention);
-  EXPECT_EQ(back.store_append_latency, cfg.store_append_latency);
-  EXPECT_EQ(back.store_read_latency, cfg.store_read_latency);
   // Defaults are the byte-compatible legacy configuration: snapshots and
   // durability off.
   const core::Config defaults;
@@ -203,25 +190,13 @@ TEST(Config, AdmissionDslValidation) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
-TEST(Config, AdmissionRoundTripsThroughJson) {
-  core::Config cfg;
-  cfg.admission = "backoff:7";
-  const auto back = core::Config::from_json(cfg.to_json());
-  EXPECT_EQ(back.admission, "backoff:7");
+TEST(Config, AdmissionLoadsFromJson) {
+  const auto cfg = core::Config::from_json(
+      util::Json::parse(R"({"admission": "backoff:7"})"));
+  EXPECT_EQ(cfg.admission, "backoff:7");
   EXPECT_THROW(core::Config::from_json(
                    util::Json::parse(R"({"admission": "priority"})")),
                std::invalid_argument);
-}
-
-TEST(Config, ToJsonRoundTrips) {
-  core::Config cfg;
-  cfg.n_replicas = 16;
-  cfg.protocol = "2chs";
-  cfg.bsize = 800;
-  const auto back = core::Config::from_json(cfg.to_json());
-  EXPECT_EQ(back.n_replicas, 16u);
-  EXPECT_EQ(back.protocol, "2chs");
-  EXPECT_EQ(back.bsize, 800u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the parallel experiment engine: RunSpec/execute determinism,
 // ParallelRunner thread-count invariance (a T-thread sweep must be
-// bit-identical to the sequential one), multi-seed aggregation, and
+// bit-identical to the sequential one), multi-seed repetition, and
 // cross-process sharding (partition property + shard-merge bit-identity
-// with single-process run_repeated).
+// with the unsharded grid run).
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,10 @@
 
 #include "client/workload.h"
 #include "harness/experiment.h"
+#include "harness/report.h"
 #include "harness/runner.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace bamboo {
 namespace {
@@ -113,31 +115,52 @@ TEST(ParallelRunner, ResolveThreadsPrecedence) {
 // Multi-seed aggregation
 // ---------------------------------------------------------------------------
 
+std::vector<harness::RunResult> results_of(const harness::GridRun& run) {
+  std::vector<harness::RunResult> results;
+  for (const auto& job : run.jobs) results.push_back(job.result);
+  return results;
+}
+
+/// The aggregate row of a one-spec grid run.
+harness::report::Record aggregate_of(const harness::RunSpec& spec,
+                                     const harness::GridRun& run) {
+  const auto rows = harness::report::grid_rows(
+      "test", "runner", {spec}, run, [](std::size_t) { return "s"; });
+  EXPECT_TRUE(rows.at(0).aggregate);
+  return rows.at(0).aggregate.value_or(harness::report::Record{});
+}
+
 TEST(Aggregate, RepeatedRunsProduceStats) {
   harness::ParallelRunner runner(4);
-  const auto agg = runner.run_repeated(small_spec(), 4, /*base_seed=*/100);
-  EXPECT_EQ(agg.runs, 4u);
-  ASSERT_EQ(agg.results.size(), 4u);
-  EXPECT_TRUE(agg.all_consistent);
-  EXPECT_EQ(agg.safety_violations, 0u);
+  const auto spec = small_spec(100);
+  const auto run = runner.run_repeated_grid({spec}, 4);
+  const auto results = results_of(run);
+  ASSERT_EQ(results.size(), 4u);
+  const auto agg = aggregate_of(spec, run);
+  EXPECT_EQ(agg.reps, 4u);
+  EXPECT_TRUE(agg.result.consistent);
+  EXPECT_EQ(agg.result.safety_violations, 0u);
   // Seeds differ, so throughput varies; the mean sits inside [min, max].
-  EXPECT_GT(agg.throughput_tps.stats.min(), 0.0);
-  EXPECT_GE(agg.throughput_tps.mean(), agg.throughput_tps.stats.min());
-  EXPECT_LE(agg.throughput_tps.mean(), agg.throughput_tps.stats.max());
-  EXPECT_GT(agg.throughput_tps.ci95(), 0.0);
-  // Per-seed results are ordered and reproducible.
-  EXPECT_EQ(agg.results[0], harness::execute(small_spec(100)));
-  EXPECT_EQ(agg.results[3], harness::execute(small_spec(103)));
+  util::RunningStats thr;
+  for (const auto& r : results) thr.add(r.throughput_tps);
+  EXPECT_GT(thr.min(), 0.0);
+  EXPECT_GE(agg.result.throughput_tps, thr.min());
+  EXPECT_LE(agg.result.throughput_tps, thr.max());
+  EXPECT_GT(agg.ci.throughput_tps, 0.0);
+  // Per-seed results are ordered and reproducible: rep r runs seed 100 + r.
+  EXPECT_EQ(results[0], harness::execute(small_spec(100)));
+  EXPECT_EQ(results[3], harness::execute(small_spec(103)));
 }
 
 TEST(Aggregate, IndependentOfThreadCount) {
   harness::ParallelRunner one(1);
   harness::ParallelRunner four(4);
-  const auto a = one.run_repeated(small_spec(), 3, 50);
-  const auto b = four.run_repeated(small_spec(), 3, 50);
-  EXPECT_EQ(a.results, b.results);
-  EXPECT_DOUBLE_EQ(a.throughput_tps.mean(), b.throughput_tps.mean());
-  EXPECT_DOUBLE_EQ(a.latency_ms_mean.ci95(), b.latency_ms_mean.ci95());
+  const auto spec = small_spec(50);
+  const auto a = one.run_repeated_grid({spec}, 3);
+  const auto b = four.run_repeated_grid({spec}, 3);
+  EXPECT_EQ(results_of(a), results_of(b));
+  EXPECT_EQ(harness::report::csv_row(aggregate_of(spec, a)),
+            harness::report::csv_row(aggregate_of(spec, b)));
 }
 
 // ---------------------------------------------------------------------------
@@ -188,22 +211,23 @@ TEST(Shard, PartitionCoversEveryJobExactlyOnce) {
   }
 }
 
-TEST(RunRepeatedGrid, UnshardedMatchesRunRepeatedBitForBit) {
+TEST(RunRepeatedGrid, UnshardedMatchesOneSpecRunsBitForBit) {
   std::vector<harness::RunSpec> grid = {small_spec(7), small_spec(21)};
   grid[1].cfg.protocol = "2chs";
   harness::ParallelRunner runner(4);
   const auto grid_run = runner.run_repeated_grid(grid, 3);
 
   ASSERT_EQ(grid_run.jobs.size(), 6u);
-  ASSERT_EQ(grid_run.aggregates.size(), 2u);
+  EXPECT_EQ(grid_run.reps, 3u);
   for (std::size_t s = 0; s < grid.size(); ++s) {
-    ASSERT_TRUE(grid_run.aggregates[s]);
-    const auto reference = runner.run_repeated(grid[s], 3);
-    EXPECT_EQ(grid_run.aggregates[s]->results, reference.results);
-    EXPECT_EQ(grid_run.aggregates[s]->throughput_tps.mean(),
-              reference.throughput_tps.mean());
-    EXPECT_EQ(grid_run.aggregates[s]->latency_ms_mean.ci95(),
-              reference.latency_ms_mean.ci95());
+    // Spec-major, rep-minor: spec s owns jobs [3s, 3s + 3).
+    const auto reference = runner.run_repeated_grid({grid[s]}, 3);
+    for (std::uint32_t rep = 0; rep < 3; ++rep) {
+      const auto& job = grid_run.jobs[s * 3 + rep];
+      EXPECT_EQ(job.spec_index, s);
+      EXPECT_EQ(job.rep, rep);
+      EXPECT_EQ(job.result, reference.jobs[rep].result);
+    }
   }
 }
 
@@ -228,31 +252,30 @@ TEST(RunRepeatedGrid, ShardUnionIsTheFullGridAndMergesBitForBit) {
   }
   ASSERT_EQ(jobs.size(), grid.size() * reps);
 
-  // Refold each spec's reps in rep order: bit-identical to the
-  // single-process run_repeated under the same seeds.
+  // Refold each spec's reps in rep order: bit-identical to the aggregate
+  // row of the unsharded run under the same seeds.
+  const auto unsharded = harness::report::grid_rows(
+      "test", "runner", grid, runner.run_repeated_grid(grid, reps),
+      [](std::size_t) { return "s"; });
   for (std::uint32_t s = 0; s < grid.size(); ++s) {
-    harness::Aggregate merged;
+    std::vector<harness::RunResult> merged;
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      merged.add(jobs.at({s, rep}));
-      merged.results.push_back(jobs.at({s, rep}));
+      merged.push_back(jobs.at({s, rep}));
     }
-    const auto reference = runner.run_repeated(grid[s], reps);
-    EXPECT_EQ(merged.results, reference.results);
-    EXPECT_EQ(merged.throughput_tps.mean(), reference.throughput_tps.mean());
-    EXPECT_EQ(merged.throughput_tps.ci95(), reference.throughput_tps.ci95());
-    EXPECT_EQ(merged.latency_ms_p99.mean(), reference.latency_ms_p99.mean());
-    EXPECT_EQ(merged.block_interval.ci95(), reference.block_interval.ci95());
+    ASSERT_TRUE(unsharded[s].aggregate);
+    EXPECT_EQ(harness::report::csv_row(harness::report::make_aggregate_record(
+                  "test", "runner", "s", s, grid[s], merged)),
+              harness::report::csv_row(*unsharded[s].aggregate));
   }
 }
 
 TEST(Aggregate, Ci95ShrinksWithMoreRuns) {
-  util::RunningStats wide;
-  harness::MetricSummary few;
-  harness::MetricSummary many;
-  for (int i = 0; i < 4; ++i) few.stats.add(10.0 + i);
-  for (int i = 0; i < 64; ++i) many.stats.add(10.0 + (i % 4));
+  util::RunningStats few;
+  util::RunningStats many;
+  for (int i = 0; i < 4; ++i) few.add(10.0 + i);
+  for (int i = 0; i < 64; ++i) many.add(10.0 + (i % 4));
   EXPECT_GT(few.ci95(), many.ci95());
-  EXPECT_EQ(harness::MetricSummary{}.ci95(), 0.0);
+  EXPECT_EQ(util::RunningStats{}.ci95(), 0.0);
 }
 
 }  // namespace

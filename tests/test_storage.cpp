@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -25,6 +28,7 @@
 #include "storage/block_store.h"
 #include "types/block.h"
 #include "util/hex.h"
+#include "util/rng.h"
 
 namespace bamboo {
 namespace {
@@ -399,6 +403,231 @@ TEST(RecordFormat, BlockEncodingIsPinned) {
       "5455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f02000000"
       "8877665544332211070000000100000009000000002f68590000000000020000"
       "020000000000000008000000030000000a0000002a0000000000000000000000");
+}
+
+// ---------------------------------------------------------------------------
+// Byte-level mutation of the file log
+// ---------------------------------------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A chain of 1..12 blocks with random signature and transaction counts.
+std::vector<BlockPtr> random_chain(util::Rng& rng) {
+  std::vector<BlockPtr> chain;
+  BlockPtr cursor = types::Block::genesis();
+  const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+  for (std::size_t i = 0; i < n; ++i) {
+    cursor = varied_child(cursor, static_cast<types::View>(i + 1),
+                          static_cast<std::uint32_t>(rng.uniform_int(0, 6)),
+                          static_cast<std::uint32_t>(rng.uniform_int(0, 4)));
+    chain.push_back(cursor);
+  }
+  return chain;
+}
+
+/// Offset just past each record of a log holding `chain`.
+std::vector<std::size_t> record_ends(const std::vector<BlockPtr>& chain) {
+  std::vector<std::size_t> ends;
+  std::size_t at = 0;
+  for (const BlockPtr& b : chain) {
+    at += 16 + storage::encode_block(*b).size();
+    ends.push_back(at);
+  }
+  return ends;
+}
+
+/// Reopen the mutated log at `path`: recovery must not throw, must keep
+/// exactly `kept` in order, and must truncate the file to `size`. The store
+/// then takes one more append, which survives another reopen.
+void expect_recovers(const std::string& path,
+                     const std::vector<BlockPtr>& kept, std::size_t size,
+                     const BlockPtr& next, const std::string& what) {
+  SCOPED_TRACE(what);
+  std::unique_ptr<FileBlockStore> store;
+  ASSERT_NO_THROW(store = std::make_unique<FileBlockStore>(path));
+  std::vector<crypto::Digest> replayed;
+  store->replay([&](const BlockPtr& b) { replayed.push_back(b->hash()); });
+  ASSERT_EQ(replayed.size(), kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(replayed[i], kept[i]->hash()) << "record " << i;
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+
+  store->append(next);
+  store.reset();
+  FileBlockStore again(path);
+  replayed.clear();
+  again.replay([&](const BlockPtr& b) { replayed.push_back(b->hash()); });
+  ASSERT_EQ(replayed.size(), kept.size() + 1);
+  EXPECT_EQ(replayed.back(), next->hash());
+}
+
+TEST(FileStoreMutation, RecoveryKeepsTheValidPrefixOfAnyCorruptedLog) {
+  // Flip, overwrite or cut random bytes anywhere in a log. The first
+  // changed byte breaks its record: the magic, the length or the FNV-1a
+  // checksum no longer match. Recovery keeps exactly the records before it.
+  TempLog log("mutate-bytes");
+  util::Rng rng(1801);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::filesystem::remove(log.path);
+    const auto chain = random_chain(rng);
+    {
+      FileBlockStore store(log.path);
+      for (const BlockPtr& b : chain) store.append(b);
+    }
+    const Bytes original = read_bytes(log.path);
+    const std::vector<std::size_t> ends = record_ends(chain);
+    ASSERT_EQ(ends.back(), original.size());
+
+    Bytes mutated = original;
+    std::string what;
+    switch (rng.uniform_int(0, 2)) {
+      case 0: {  // flip a few bits
+        const auto flips = rng.uniform_int(1, 4);
+        for (std::int64_t f = 0; f < flips; ++f) {
+          const auto at = rng.uniform_u64(mutated.size());
+          mutated[at] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+        }
+        what = "flip";
+        break;
+      }
+      case 1: {  // overwrite a short run with random bytes
+        const auto at = rng.uniform_u64(mutated.size());
+        const auto len = std::min<std::size_t>(
+            static_cast<std::size_t>(rng.uniform_int(1, 8)),
+            mutated.size() - at);
+        for (std::size_t i = 0; i < len; ++i) {
+          mutated[at + i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        }
+        what = "overwrite";
+        break;
+      }
+      default:  // cut the log short
+        mutated.resize(rng.uniform_u64(mutated.size()));
+        what = "truncate";
+        break;
+    }
+    write_bytes(log.path, mutated);
+
+    // The first byte that differs (or the cut) decides the valid prefix.
+    std::size_t first = 0;
+    while (first < mutated.size() && mutated[first] == original[first]) {
+      ++first;
+    }
+    const auto intact = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), first) - ends.begin());
+    const std::vector<BlockPtr> kept(chain.begin(),
+                                     chain.begin() + static_cast<long>(intact));
+    expect_recovers(log.path, kept, intact == 0 ? 0 : ends[intact - 1],
+                    varied_child(chain.back(), 1000, 1, 1),
+                    what + " trial " + std::to_string(trial));
+  }
+}
+
+TEST(FileStoreMutation, EditedPayloadsWithValidChecksumsReachTheDecoder) {
+  // Edit one record's payload and recompute its checksum, so the record
+  // framing holds and decode_block's own bounds checks must refuse it:
+  // signature and transaction counts the payload cannot hold, a short
+  // payload, trailing bytes. An edit that still decodes is a valid record
+  // and is kept; recovery stops at the first refused one.
+  TempLog log("mutate-payload");
+  util::Rng rng(1802);
+  std::map<std::string, int> refusals;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::filesystem::remove(log.path);
+    const auto chain = random_chain(rng);
+    {
+      FileBlockStore store(log.path);
+      for (const BlockPtr& b : chain) store.append(b);
+    }
+    const Bytes original = read_bytes(log.path);
+    const std::vector<std::size_t> ends = record_ends(chain);
+    const auto k = static_cast<std::size_t>(rng.uniform_u64(chain.size()));
+    const std::size_t begin = k == 0 ? 0 : ends[k - 1];
+    Bytes payload(original.begin() + static_cast<long>(begin + 16),
+                  original.begin() + static_cast<long>(ends[k]));
+
+    const auto put_u32 = [&](std::size_t at, std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        payload[at + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    };
+    const auto random_count = [&] {
+      return static_cast<std::uint32_t>(
+          rng.uniform_int(0, 1) == 0 ? rng.uniform_int(0, 16)
+                                     : rng.uniform_int(0, 0xffffffff));
+    };
+    // Payload layout: 56 bytes of block fields, then the justify QC's 52
+    // fixed bytes and its signature count, 36 bytes per signature, then
+    // the transaction count.
+    const std::size_t nsigs_at = 56 + 52;
+    const std::size_t ntx_at =
+        nsigs_at + 4 + 36 * chain[k]->justify().sigs.size();
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        put_u32(nsigs_at, random_count());
+        break;
+      case 1:
+        put_u32(ntx_at, random_count());
+        break;
+      case 2:  // a short payload
+        payload.resize(rng.uniform_u64(payload.size()));
+        break;
+      case 3:  // trailing bytes
+        payload.resize(payload.size() + rng.uniform_u64(40) + 1, 0x5a);
+        break;
+      default:  // random bytes anywhere in the payload
+        for (std::int64_t i = rng.uniform_int(1, 4); i > 0; --i) {
+          payload[rng.uniform_u64(payload.size())] =
+              static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        }
+        break;
+    }
+
+    Bytes mutated(original.begin(),
+                  original.begin() + static_cast<long>(begin));
+    put_le(mutated, 0x314b4c42, 4);
+    put_le(mutated, payload.size(), 4);
+    put_le(mutated, storage::fnv1a64(payload.data(), payload.size()), 8);
+    mutated.insert(mutated.end(), payload.begin(), payload.end());
+    mutated.insert(mutated.end(), original.begin() + static_cast<long>(ends[k]),
+                   original.end());
+    write_bytes(log.path, mutated);
+
+    std::vector<BlockPtr> kept(chain.begin(),
+                               chain.begin() + static_cast<long>(k));
+    std::size_t size = begin;
+    try {
+      kept.push_back(storage::decode_block(payload.data(), payload.size()));
+      kept.insert(kept.end(), chain.begin() + static_cast<long>(k + 1),
+                  chain.end());
+      size = mutated.size();
+    } catch (const std::invalid_argument& e) {
+      ++refusals[e.what()];
+    }
+    expect_recovers(log.path, kept, size,
+                    varied_child(chain.back(), 1000, 1, 1),
+                    "trial " + std::to_string(trial) + ", record " +
+                        std::to_string(k));
+  }
+  // Every bounds check of the decoder refused at least one edit.
+  EXPECT_GT(refusals["block record truncated"], 0);
+  EXPECT_GT(refusals["block record truncated (qc sigs)"], 0);
+  EXPECT_GT(refusals["block record truncated (txns)"], 0);
+  EXPECT_GT(refusals["block record has trailing bytes"], 0);
 }
 
 // ---------------------------------------------------------------------------
