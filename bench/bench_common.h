@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/table.h"
+#include "util/parse.h"
 
 namespace bamboo::bench {
 
@@ -80,29 +82,49 @@ inline void print_usage(std::ostream& out, const char* argv0) {
   std::exit(2);
 }
 
-/// Parse the shared bench CLI. An unknown argument or a flag without its
-/// value is a usage_error; a malformed --threads value falls back to the
-/// automatic count.
+/// Parse the shared bench CLI. An unknown argument, a flag without its
+/// value, a --seed or --reps value that is not a whole decimal number,
+/// --reps 0, and a --duration that is not a finite positive number are
+/// usage_errors; a malformed --threads value falls back to the automatic
+/// count.
 inline Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto value = [&] {
       if (i + 1 >= argc) usage_error(argv[0], flag + " needs a value");
-      return argv[++i];
+      return std::string(argv[++i]);
     };
     if (flag == "--full") {
       args.full = true;
     } else if (flag == "--threads") {
-      args.threads = static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+      args.threads =
+          static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
     } else if (flag == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 10);
+      const std::string text = value();
+      const auto seed = util::parse_unsigned(text);
+      if (!seed) {
+        usage_error(argv[0],
+                    "--seed needs a whole number, got '" + text + "'");
+      }
+      args.seed = *seed;
     } else if (flag == "--reps") {
-      args.reps =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
-      if (args.reps == 0) args.reps = 1;
+      const std::string text = value();
+      const auto reps = util::parse_unsigned(
+          text, std::numeric_limits<std::uint32_t>::max());
+      if (!reps || *reps == 0) {
+        usage_error(argv[0], "--reps needs a positive whole number, got '" +
+                                 text + "'");
+      }
+      args.reps = static_cast<std::uint32_t>(*reps);
     } else if (flag == "--duration") {
-      args.duration = std::strtod(value(), nullptr);
+      const std::string text = value();
+      const auto duration = util::parse_finite_double(text);
+      if (!duration || *duration <= 0) {
+        usage_error(argv[0], "--duration needs a positive number of "
+                             "seconds, got '" + text + "'");
+      }
+      args.duration = *duration;
     } else if (flag == "--out") {
       args.out = value();
     } else if (flag == "--format") {

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <array>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/churn.h"
 #include "crypto/sha256.h"
@@ -287,6 +289,51 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueueChurn);
+
+void BM_EventQueueDelayMix(benchmark::State& state) {
+  // One pop plus one schedule per iteration at a steady pending depth (the
+  // arg; lan_saturated at seed 7 has a median of 8 and a p90 of 320), with
+  // delays drawn in the proportions measured there: 28% at 0.5-1 us, 28%
+  // at 2-4 us, 14% at 16-32 us, 29% at 0.26-1 ms and 0.2% at about 67 ms
+  // (timers).
+  constexpr std::size_t kDelays = std::size_t{1} << 16;
+  util::Rng rng(19);
+  std::vector<sim::Duration> delays(kDelays);
+  for (sim::Duration& d : delays) {
+    const std::uint64_t pick = rng.uniform_u64(992);  // per mille, summed
+    const auto between = [&rng](sim::Duration lo, sim::Duration hi) {
+      return lo + static_cast<sim::Duration>(
+                      rng.uniform_u64(static_cast<std::uint64_t>(hi - lo)));
+    };
+    if (pick < 280) {
+      d = between(500, 1'000);
+    } else if (pick < 560) {
+      d = between(2'000, 4'000);
+    } else if (pick < 700) {
+      d = between(16'000, 32'000);
+    } else if (pick < 990) {
+      d = between(260'000, 1'000'000);
+    } else {
+      d = between(66'000'000, 68'000'000);
+    }
+  }
+  sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  for (std::size_t i = 0; i < depth; ++i) {
+    queue.schedule(delays[i], [&fired] { ++fired; });
+  }
+  std::size_t next = depth;
+  for (auto _ : state) {
+    sim::EventQueue::Fired ev = queue.pop();
+    ev.fn();
+    queue.schedule(ev.at + delays[next++ & (kDelays - 1)],
+                   [&fired] { ++fired; });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueDelayMix)->Arg(8)->Arg(64)->Arg(320);
 
 void BM_BlockWireSize(benchmark::State& state) {
   // Pool of distinct blocks so the cached size cannot be hoisted.

@@ -71,6 +71,12 @@ Replica::Replica(sim::Simulator& simulator, net::SimNetwork& network,
   verify_strategy_ = parse_verify_strategy(config.verify_strategy);
 }
 
+Replica::~Replica() {
+  // Ids of completions that already fired are stale: cancel() ignores them.
+  for (const InService& work : cpu_in_service_) sim_.cancel(work.done);
+  for (const auto& [view, wait] : propose_waits_) sim_.cancel(wait);
+}
+
 void Replica::start() {
   net_.set_handler(id_, [this](const net::Envelope& env) {
     handle_envelope(env);
@@ -86,6 +92,8 @@ void Replica::crash() {
   crashed_ = true;
   pacemaker_.stop();
   syncer_.stop();
+  // Queued work is released now, work in service when its completion
+  // fires (cpu_complete).
   cpu_queue_.clear();
   net_.set_down(id_, true);
 }
@@ -98,9 +106,10 @@ ProtocolContext Replica::context() {
 // CPU queue
 // --------------------------------------------------------------------------
 
-void Replica::enqueue_cpu(sim::Duration cost, std::function<void()> fn) {
+template <typename F>
+void Replica::enqueue_cpu(sim::Duration cost, F&& fn) {
   if (crashed_) return;
-  cpu_queue_.push_back(CpuWork{cost, std::move(fn)});
+  cpu_queue_.emplace_back(cost, std::forward<F>(fn));
   cpu_dispatch();
 }
 
@@ -113,16 +122,34 @@ void Replica::cpu_dispatch() {
   while (!crashed_ && !cpu_queue_.empty() &&
          cpu_busy_workers_ < cfg_.cpu_workers) {
     ++cpu_busy_workers_;
-    CpuWork work = std::move(cpu_queue_.front());
+    std::uint32_t slot;
+    if (cpu_in_service_free_.empty()) {
+      slot = static_cast<std::uint32_t>(cpu_in_service_.size());
+      cpu_in_service_.emplace_back();
+    } else {
+      slot = cpu_in_service_free_.back();
+      cpu_in_service_free_.pop_back();
+    }
+    CpuWork& work = cpu_queue_.front();
+    InService& served = cpu_in_service_[slot];
+    served.fn = std::move(work.fn);
+    const sim::Duration cost = work.cost;
     cpu_queue_.pop_front();
-    stats_.cpu_busy += work.cost;
-    sim_.schedule_after(work.cost, [this, fn = std::move(work.fn)] {
-      if (crashed_) return;  // crash() already drained the queue
-      fn();
-      --cpu_busy_workers_;
-      cpu_dispatch();
-    });
+    stats_.cpu_busy += cost;
+    served.done =
+        sim_.schedule_after(cost, [this, slot] { cpu_complete(slot); });
   }
+}
+
+void Replica::cpu_complete(std::uint32_t slot) {
+  // Move the work out first: it may dispatch to another worker, which can
+  // grow cpu_in_service_ under it.
+  sim::EventQueue::Callback fn = std::move(cpu_in_service_[slot].fn);
+  cpu_in_service_free_.push_back(slot);
+  if (crashed_) return;  // crash() already drained the queue
+  fn();
+  --cpu_busy_workers_;
+  cpu_dispatch();
 }
 
 sim::Duration Replica::cert_cost(std::size_t k) const {
@@ -757,12 +784,14 @@ void Replica::try_propose(View view, pacemaker::AdvanceReason reason) {
       cfg_.propose_wait_after_vc > 0) {
     // Non-responsive mode: wait Δ after a view change so that slow honest
     // replicas' high QCs reach us (paper §II-C; §VI-D "t100").
-    sim_.schedule_after(cfg_.propose_wait_after_vc, [this, view] {
-      if (!crashed_ && pacemaker_.current_view() == view &&
-          view > last_proposed_view_) {
-        do_propose(view);
-      }
-    });
+    propose_waits_[view] =
+        sim_.schedule_after(cfg_.propose_wait_after_vc, [this, view] {
+          propose_waits_.erase(view);
+          if (!crashed_ && pacemaker_.current_view() == view &&
+              view > last_proposed_view_) {
+            do_propose(view);
+          }
+        });
     return;
   }
   do_propose(view);

@@ -9,6 +9,8 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "core/config.h"
 #include "core/safety.h"
@@ -81,6 +83,12 @@ class Replica {
           types::NodeId id, std::unique_ptr<SafetyProtocol> safety,
           const election::LeaderElection& election, Hooks hooks = {});
 
+  /// Cancels the pending events that call back into this replica: the
+  /// completions of work in service and the propose waits after a view
+  /// change. A crash-restart with no downtime destroys a replica while
+  /// they are pending.
+  ~Replica();
+
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
@@ -130,12 +138,20 @@ class Replica {
  private:
   // --- CPU queue ----------------------------------------------------------
   struct CpuWork {
+    template <typename F>
+    CpuWork(sim::Duration c, F&& f) : cost(c), fn(std::forward<F>(f)) {}
     sim::Duration cost;
-    std::function<void()> fn;
+    sim::EventQueue::Callback fn;
   };
-  void enqueue_cpu(sim::Duration cost, std::function<void()> fn);
+  /// Queue `fn` (any `void()` callable, constructed in its queue entry)
+  /// behind `cost` of simulated CPU service.
+  template <typename F>
+  void enqueue_cpu(sim::Duration cost, F&& fn);
   /// Hand queued work to idle verify workers (cpu_workers-server FIFO).
   void cpu_dispatch();
+  /// A worker finished the item in cpu_in_service_[slot]: run it (unless
+  /// the replica crashed meanwhile) and free the worker.
+  void cpu_complete(std::uint32_t slot);
   [[nodiscard]] sim::Duration cost_of(const types::Message& msg);
   /// Strategy-aware simulated cost of verifying (or constructing) a
   /// k-signature certificate; the surcharge on top of the legacy flat
@@ -223,6 +239,15 @@ class Replica {
 
   // CPU
   std::deque<CpuWork> cpu_queue_;
+  /// Work in service, one slot per busy worker, so its completion event
+  /// captures only [this, slot] (inline, no heap cell). A slot lives from
+  /// dispatch to completion, also across a crash.
+  struct InService {
+    sim::EventQueue::Callback fn;
+    sim::EventId done = sim::kInvalidEventId;  ///< the completion event
+  };
+  std::vector<InService> cpu_in_service_;
+  std::vector<std::uint32_t> cpu_in_service_free_;
   std::uint32_t cpu_busy_workers_ = 0;
   bool crashed_ = false;
   VerifyStrategy verify_strategy_ = VerifyStrategy::kEager;
@@ -246,6 +271,8 @@ class Replica {
   types::BlockPtr slot_voted_tip_;
   std::optional<types::TimeoutCert> last_tc_;
   std::unordered_map<crypto::Digest, types::ProposalMsg> pending_proposals_;
+  /// Pending propose_wait_after_vc timers by view; ~Replica cancels them.
+  std::map<types::View, sim::EventId> propose_waits_;
   std::map<types::View, std::unordered_set<crypto::Digest>> echo_seen_;
 
   ReplicaStats stats_;

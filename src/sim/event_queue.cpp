@@ -7,80 +7,82 @@
 namespace bamboo::sim {
 
 EventQueue::EventQueue() {
-  heap_.reserve(kReserveAhead);
   slots_.reserve(kReserveAhead);
   free_slots_.reserve(kReserveAhead);
-}
-
-EventId EventQueue::schedule(Time at, Callback fn) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[slot];
-  ++s.gen;
-  s.live = true;
-  s.fn = std::move(fn);
-
-  heap_.push_back(Entry{at, ++seq_, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
-  return encode(slot, s.gen);
 }
 
 bool EventQueue::cancel(EventId id) {
   if (id == kInvalidEventId) return false;
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffULL) - 1;
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (s.gen != gen || !s.live) return false;
-  // The heap entry stays behind as a tombstone; the slot is recyclable
-  // immediately because any new occupant bumps the generation. The capture
-  // is destroyed now so cancellation releases owned resources promptly.
-  s.live = false;
-  s.fn.reset();
+  if (slot >= slots_.size() || slots_[slot].gen != gen) return false;
+  // The entry stays filed as a stale stamp; the capture is destroyed now
+  // so cancellation releases owned resources promptly.
+  slots_[slot].fn.reset();
   release_slot(slot);
   --live_;
   return true;
 }
 
-void EventQueue::drop_dead_head() const {
-  while (!heap_.empty() && !entry_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+void EventQueue::settle_head() {
+  assert(live_ > 0);
+  for (;;) {
+    std::vector<Entry>& now = buckets_[0];
+    for (; head_ < now.size(); ++head_) {
+      if (live(now[head_])) return;
+    }
+    now.clear();
+    head_ = 0;
+    // Settle the lowest non-empty bucket: its earliest time becomes base_
+    // and every entry drops into a lower, so far empty, bucket (equal
+    // times into bucket 0), in the order they were filed.
+    assert(occupied_ != 0);
+    const int b = std::countr_zero(occupied_) + 1;
+    occupied_ &= occupied_ - 1;
+    std::vector<Entry>& from = buckets_[static_cast<std::size_t>(b)];
+    Time earliest = from.front().at;
+    for (const Entry& e : from) earliest = std::min(earliest, e.at);
+    base_ = earliest;
+    for (const Entry& e : from) file(e);
+    from.clear();
   }
 }
 
-Time EventQueue::next_time() const {
-  drop_dead_head();
-  assert(!heap_.empty());
-  return heap_.front().at;
+void EventQueue::rebase(Time at) {
+  std::vector<Entry> pending;
+  for (std::vector<Entry>& bucket : buckets_) {
+    const auto first = &bucket == &buckets_[0] ? head_ : 0;
+    pending.insert(pending.end(),
+                   bucket.begin() + static_cast<std::ptrdiff_t>(first),
+                   bucket.end());
+    bucket.clear();
+  }
+  head_ = 0;
+  occupied_ = 0;
+  base_ = at;
+  // Equal times all came from one bucket, in order, so they stay in order.
+  for (const Entry& e : pending) file(e);
+}
+
+Time EventQueue::next_time() {
+  settle_head();
+  return base_;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  drop_dead_head();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry top = heap_.back();
-  Slot& s = slots_[top.slot];
-  Fired fired{top.at, encode(top.slot, top.gen), std::move(s.fn)};
-  s.live = false;
-  release_slot(top.slot);
-  heap_.pop_back();
+  settle_head();
+  const Entry e = buckets_[0][head_++];
+  release_slot(e.slot);
   --live_;
-  return fired;
+  // A prvalue return: the capture's one relocation is this move out.
+  return Fired{e.at, encode(e.slot, e.gen), std::move(slots_[e.slot].fn)};
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
   // Retire a slot whose generation counter saturated instead of letting it
   // wrap: a wrapped generation could make a stale EventId held across 2^32
-  // reuses alias a live event. Retirement costs 2 bytes per ~4e9 events.
-  if (slots_[slot].gen != kMaxGeneration) free_slots_.push_back(slot);
+  // reuses alias a live event. Retirement costs 80 bytes per ~4e9 events.
+  if (++slots_[slot].gen != kMaxGeneration) free_slots_.push_back(slot);
 }
 
 }  // namespace bamboo::sim

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_function.h"
@@ -15,31 +18,55 @@ namespace bamboo::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Priority queue of timestamped callbacks with deterministic tie-breaking
-/// (FIFO among events scheduled for the same instant) and O(1) cancellation.
+/// Priority queue of timestamped callbacks: events fire in (time, schedule
+/// order), and cancellation is O(1).
 ///
-/// Hot-path design: entries carry a (slot, generation) stamp checked against
-/// a flat slot table, replacing the previous unordered_set membership lookup
-/// per schedule/cancel/pop. Cancelled entries stay in the heap as tombstones
-/// and are skipped when they surface; all storage is reserve-ahead vectors,
-/// so the steady state allocates only when the sim's event population grows
-/// past any previous high-water mark.
+/// Monotone radix bucket queue. Pending times never lie below the last
+/// settled time `base_` (the time of the last event popped, or of the
+/// earliest pending event once next_time() has looked at it), so an entry
+/// is filed by the highest bit in which its time differs from base_:
+/// bucket 0 holds the entries at exactly base_, bucket b in 1..64 those
+/// whose highest differing bit is b - 1. A 64-bit mask marks the non-empty
+/// buckets 1..64. Bucket 0 is consumed in FIFO order; when it runs dry, the
+/// lowest non-empty bucket is settled: base_ moves to its earliest time
+/// and its entries are refiled into the (empty) lower buckets. Each settle
+/// lowers every entry it moves by at least one bucket, so an entry is
+/// refiled at most 64 times.
 ///
-/// Allocation-free steady state: callbacks are InlineFunction (captures up
-/// to 64 bytes live inline, no per-event heap cell like std::function) and
-/// they live in the slot table, not the heap — heap entries are 24-byte
-/// PODs {at, seq, slot, gen}, so sift-up/down moves plain words and the
-/// callback is touched exactly twice (moved in at schedule, moved out at
-/// fire). cancel() destroys the capture immediately, releasing whatever it
-/// owns without waiting for the tombstone to surface.
+/// Ordering needs no sequence number. Equal times always share a bucket,
+/// because the bucket depends only on the time and base_; appends keep
+/// schedule order inside a bucket, and a settle moves a bucket's entries
+/// in order into buckets that were empty. So equal times leave bucket 0
+/// in schedule order. An event scheduled before base_ (which the
+/// Simulator does only after run_until() peeked past its deadline) lowers
+/// base_ and refiles every pending entry, keeping that order.
+///
+/// Entries are 16-byte PODs {at, slot, gen}; the callback lives in a flat
+/// slot table. schedule() constructs it there in place and pop() moves it
+/// out, so a capture is relocated once. cancel() destroys the capture at
+/// once and recycles the slot under a new generation; the stale entry
+/// stays filed and is dropped when it reaches bucket 0. All storage is
+/// vectors that keep their capacity, so the steady state allocates only
+/// when the pending population outgrows any previous high-water mark.
 class EventQueue {
  public:
   using Callback = InlineFunction<64>;
 
   EventQueue();
 
-  /// Schedule `fn` at absolute time `at`. Returns an id for cancel().
-  EventId schedule(Time at, Callback fn);
+  /// Schedule `fn` (any `void()` callable, constructed in place) at
+  /// absolute time `at`. Returns an id for cancel().
+  template <typename F>
+  EventId schedule(Time at, F&& fn) {
+    if (at < base_) rebase(at);
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slots_[slot];
+    s.fn.emplace(std::forward<F>(fn));
+    file(Entry{at, slot, s.gen});
+    ++live_;
+    ++scheduled_;
+    return encode(slot, s.gen);
+  }
 
   /// Cancel a pending event. Returns false (no-op) if the event already
   /// fired, was already cancelled, or the id is unknown.
@@ -48,8 +75,9 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Earliest pending event time; only valid when !empty().
-  [[nodiscard]] Time next_time() const;
+  /// Earliest pending event time; only valid when !empty(). Settles the
+  /// buckets up to that event, so the pop() that follows is O(1).
+  [[nodiscard]] Time next_time();
 
   /// Pop the earliest live event and return it. Precondition: !empty().
   struct Fired {
@@ -60,33 +88,23 @@ class EventQueue {
   Fired pop();
 
   /// Total events ever scheduled (statistics).
-  [[nodiscard]] std::uint64_t total_scheduled() const { return seq_; }
+  [[nodiscard]] std::uint64_t total_scheduled() const { return scheduled_; }
 
  private:
-  /// POD heap node; the callback lives in slots_[slot], so heap moves
-  /// during sift-up/down never touch it.
+  /// POD bucket entry; the callback lives in slots_[slot], so refiling an
+  /// entry never touches it. Live iff the slot is still at generation gen.
   struct Entry {
     Time at;
-    std::uint64_t seq;   ///< schedule order: FIFO among equal timestamps
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  /// Heap comparator for std::push_heap/pop_heap: the "largest" element
-  /// (the heap top) is the earliest (at, seq).
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
 
-  /// One recyclable identity plus the pending event's callback. An entry
-  /// is live iff its stamp matches the slot's current generation and the
-  /// slot is marked live.
+  /// One recyclable identity plus the pending event's callback. The
+  /// generation advances whenever the slot is vacated (fired or
+  /// cancelled), which kills its entry and every id issued for it.
   struct Slot {
-    std::uint32_t gen = 0;
-    bool live = false;
     Callback fn;
+    std::uint32_t gen = 0;
   };
 
   static constexpr std::size_t kReserveAhead = 1024;
@@ -99,25 +117,45 @@ class EventQueue {
            (static_cast<EventId>(slot) + 1);
   }
 
-  [[nodiscard]] bool entry_live(const Entry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.gen == e.gen && s.live;
+  [[nodiscard]] bool live(const Entry& e) const {
+    return slots_[e.slot].gen == e.gen;
   }
 
-  /// Discard cancelled tombstones sitting at the heap head (their slots
-  /// were already released by cancel()).
-  void drop_dead_head() const;
+  /// File an entry under base_: bucket bit_width(at ^ base_), whose mask
+  /// bit is bit_floor(at ^ base_) (none for bucket 0).
+  void file(const Entry& e) {
+    const auto diff =
+        static_cast<std::uint64_t>(e.at) ^ static_cast<std::uint64_t>(base_);
+    buckets_[std::bit_width(diff)].push_back(e);
+    occupied_ |= std::bit_floor(diff);
+  }
+  /// Make buckets_[0][head_] the earliest live entry, dropping stale
+  /// entries and settling lower buckets as needed. Precondition: !empty().
+  void settle_head();
+  /// Lower base_ to `at` (earlier than every pending time) and refile.
+  void rebase(Time at);
 
-  /// Return a vacated slot to the free list (or retire it on generation
-  /// saturation).
+  std::uint32_t acquire_slot() {
+    if (free_slots_.empty()) {
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  /// Vacate a slot: advance its generation and return it to the free list
+  /// (or retire it on generation saturation).
   void release_slot(std::uint32_t slot);
 
-  // Mutable so next_time() can shed tombstones; logically const.
-  mutable std::vector<Entry> heap_;
+  std::array<std::vector<Entry>, 65> buckets_;
+  std::size_t head_ = 0;       ///< next unconsumed entry of buckets_[0]
+  std::uint64_t occupied_ = 0;  ///< bit b - 1 set iff buckets_[b] non-empty
+  Time base_ = 0;               ///< last settled time
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
-  std::uint64_t seq_ = 0;
+  std::uint64_t scheduled_ = 0;
 };
 
 }  // namespace bamboo::sim

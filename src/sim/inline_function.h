@@ -41,7 +41,7 @@ class InlineFunction {
 
   /// A capture is stored inline iff it fits, is not over-aligned, and can
   /// be relocated without throwing (moves must be noexcept: the event
-  /// queue relocates entries while rebalancing state).
+  /// queue relocates pending callbacks when its slot table grows).
   template <typename D>
   static constexpr bool kInline = sizeof(D) <= Capacity &&
                                   alignof(D) <= alignof(std::max_align_t) &&
@@ -83,14 +83,7 @@ class InlineFunction {
     requires(!std::is_same_v<std::remove_cvref_t<F>, InlineFunction> &&
              std::is_invocable_v<std::remove_cvref_t<F>&>)
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::remove_cvref_t<F>;
-    if constexpr (kInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &InlineOps<D>::value;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapOps<D>::value;
-    }
+    emplace(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { steal(other); }
@@ -107,6 +100,32 @@ class InlineFunction {
   InlineFunction& operator=(const InlineFunction&) = delete;
 
   ~InlineFunction() { reset(); }
+
+  /// Replace the held capture with `f`, constructed directly in this
+  /// buffer (or its heap cell): a forwarding caller such as
+  /// EventQueue::schedule builds the capture once where it will live, with
+  /// no temporary InlineFunction to relocate. An InlineFunction argument
+  /// must be an rvalue; its capture is relocated in, as by move assignment.
+  /// If constructing the capture throws, *this is left empty.
+  template <typename F>
+    requires std::is_invocable_v<std::remove_cvref_t<F>&>
+  void emplace(F&& f) {
+    using D = std::remove_cvref_t<F>;
+    if constexpr (std::is_same_v<D, InlineFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "InlineFunction is move-only: emplace(std::move(fn))");
+      *this = std::move(f);
+    } else {
+      reset();
+      if constexpr (kInline<D>) {
+        ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+        ops_ = &InlineOps<D>::value;
+      } else {
+        ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+        ops_ = &HeapOps<D>::value;
+      }
+    }
+  }
 
   /// Destroy the held capture (heap cell included); *this becomes empty.
   void reset() noexcept {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -28,15 +29,18 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
-  /// Schedule at an absolute simulated time (clamped to now).
-  EventId schedule_at(Time at, EventQueue::Callback fn) {
+  /// Schedule `fn` (any `void()` callable, forwarded to the queue slot it
+  /// is constructed in) at an absolute simulated time (clamped to now).
+  template <typename F>
+  EventId schedule_at(Time at, F&& fn) {
     assert_thread_affinity();
-    return queue_.schedule(at < now_ ? now_ : at, std::move(fn));
+    return queue_.schedule(at < now_ ? now_ : at, std::forward<F>(fn));
   }
 
   /// Schedule after a relative delay (clamped to non-negative).
-  EventId schedule_after(Duration delay, EventQueue::Callback fn) {
-    return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+  template <typename F>
+  EventId schedule_after(Duration delay, F&& fn) {
+    return schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
 
   bool cancel(EventId id) {

@@ -1,14 +1,19 @@
 #pragma once
 
 // Tiny shared parsing helpers for the spec-string grammars (topology
-// scenarios, churn DSL). Centralized so strictness fixes — e.g. the
-// rejection of "nan"/"inf", which strtod happily accepts but every range
-// check silently passes — reach every grammar at once.
+// scenarios, churn DSL) and the bench command line. Centralized so
+// strictness fixes — e.g. the rejection of "nan"/"inf", which strtod
+// happily accepts but every range check silently passes — reach every
+// grammar at once.
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace bamboo::util {
@@ -36,6 +41,21 @@ inline std::optional<double> parse_finite_double(const std::string& text) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// Strict unsigned decimal: digits only (no sign, blank or base prefix),
+/// the whole string, at most `max`. nullopt on anything else, so "two",
+/// "x7", "3x" and "-1" never read as a number.
+inline std::optional<std::uint64_t> parse_unsigned(
+    const std::string& text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || stop != end || v > max) {
     return std::nullopt;
   }
   return v;

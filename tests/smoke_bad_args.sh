@@ -34,4 +34,19 @@ check --no-such-flag
 check --rep 3          # the flag is --reps
 check --duration       # trailing flag without its value
 check --reps 2 --threads
-echo "malformed command lines are refused with status 2"
+# Malformed values: each once fell back silently (one seed, the default
+# seed, the full window) and exited 0.
+check --reps two
+check --reps 3x
+check --reps 0
+check --reps -1
+check --seed x7
+check --seed 7.5
+check --seed -7
+check --duration abc
+check --duration 0.2s
+check --duration 0
+check --duration -0.5
+check --duration inf
+check --duration nan
+echo "malformed command lines and values are refused with status 2"

@@ -740,6 +740,38 @@ TEST(ChurnEngine, CrashRestartRebuildsAndResumesCommits) {
   EXPECT_GT(restarted.blocks_committed, 0u);
 }
 
+TEST(ChurnEngine, CrashRestartWithNoDowntimeCancelsPendingCallbacks) {
+  // With no downtime the rebuild destroys the crashed replica at the crash
+  // instant, while events that call back into it may still be pending;
+  // the destroyed replica must cancel them. A sanitizer build reports the
+  // call into freed memory otherwise.
+  // (a) Replica 2's CPU worker is serving a message at 0.5 s.
+  harness::RunSpec busy = churn_spec("crash-restart@0.5s:replica=2");
+  busy.cfg.bsize = 400;
+  busy.cfg.seed = 2021;
+  busy.workload.concurrency = 256;
+  // (b) With replica 2 down, the views replica 3 leads start with a
+  // timeout certificate, so replica 3 waits propose_wait_after_vc before
+  // it proposes; it restarts every 10 ms, inside those waits.
+  std::string dsl = "crash@0.1s:replica=2";
+  for (int k = 0; k < 20; ++k) {
+    dsl += ";crash-restart@" + std::to_string(200 + 10 * k) + "ms:replica=3";
+  }
+  harness::RunSpec waiting = churn_spec(dsl);
+  waiting.cfg.propose_wait_after_vc = sim::milliseconds(100);
+  waiting.cfg.timeout = sim::milliseconds(20);
+
+  const auto a = harness::execute(busy);
+  EXPECT_EQ(a.restarts, 1u);
+  EXPECT_TRUE(a.consistent);
+  EXPECT_EQ(a.safety_violations, 0u);
+  EXPECT_GT(a.blocks_committed, 0u);
+  const auto b = harness::execute(waiting);
+  EXPECT_EQ(b.restarts, 20u);
+  EXPECT_TRUE(b.consistent);
+  EXPECT_EQ(b.safety_violations, 0u);
+}
+
 TEST(ChurnEngine, ChurnScheduleIsDeterministicAcrossThreadCounts) {
   // The acceptance bar: a nonempty schedule is bit-identical across
   // --threads values (sharding reuses the same per-spec execution).

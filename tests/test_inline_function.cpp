@@ -157,10 +157,10 @@ TEST(InlineFunction, WrapsStdFunction) {
 
 TEST(EventQueueCallback, CancelDestroysCaptureImmediately) {
   // cancel() must release whatever the capture owns right away, not when
-  // the tombstone eventually surfaces from the heap.
+  // its stale entry eventually reaches the front of the queue.
   EventQueue q;
   auto counter = std::make_shared<int>(0);
-  q.schedule(10, [] {});  // keeps the heap nonempty around the cancel
+  q.schedule(10, [] {});  // keeps the queue nonempty around the cancel
   const EventId id = q.schedule(5, [counter] { ++*counter; });
   EXPECT_EQ(counter.use_count(), 2);
   EXPECT_TRUE(q.cancel(id));
@@ -193,7 +193,8 @@ TEST(EventQueueCallback, MoveOnlyCaptureThroughQueue) {
 }
 
 TEST(EventQueueCallback, FifoAmongEqualTimestampsStillHolds) {
-  // The POD-heap restructure must preserve the deterministic tie-break.
+  // Callbacks living outside the queue's entries must keep the
+  // deterministic tie-break.
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {

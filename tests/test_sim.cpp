@@ -4,11 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/rng.h"
 
 namespace bamboo {
 namespace {
@@ -92,7 +99,7 @@ TEST(EventQueue, NextTimeAfterCancellingEveryHead) {
   EXPECT_TRUE(q.cancel(a));
   EXPECT_TRUE(q.cancel(b));
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time(), 30);  // sheds two stacked tombstones
+  EXPECT_EQ(q.next_time(), 30);  // skips two stacked cancelled entries
 }
 
 TEST(EventQueue, DoubleCancelReturnsFalse) {
@@ -139,7 +146,7 @@ TEST(EventQueue, SizeCountsOnlyLiveEvents) {
   EXPECT_EQ(q.size(), 3u);
   q.cancel(a);
   q.cancel(c);
-  EXPECT_EQ(q.size(), 1u);  // tombstones may linger; size() must not count them
+  EXPECT_EQ(q.size(), 1u);  // cancelled entries may linger; size() must not count them
   q.pop();
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
@@ -183,6 +190,145 @@ TEST(EventQueue, ChurnStressMatchesSequentialOrder) {
   std::sort(sorted.begin(), sorted.end());
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
               sorted.end());
+}
+
+// --- The ordering contract, checked against a brute-force model ----------
+
+/// The queue's contract without its data structure: pending events in a
+/// flat list, the earliest (time, schedule order) found by a scan.
+class QueueModel {
+ public:
+  struct Event {
+    sim::Time at;
+    std::uint64_t order;
+    sim::EventId id;
+    int tag;
+  };
+
+  void schedule(sim::Time at, sim::EventId id, int tag) {
+    pending_.push_back(Event{at, next_order_++, id, tag});
+  }
+  /// True iff `id` was pending (and now is not).
+  bool cancel(sim::EventId id) {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      if (pending_[i].id == id) {
+        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+        return true;
+      }
+    }
+    return false;
+  }
+  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  [[nodiscard]] const Event& earliest() const {
+    return *std::min_element(
+        pending_.begin(), pending_.end(), [](const Event& a, const Event& b) {
+          return a.at != b.at ? a.at < b.at : a.order < b.order;
+        });
+  }
+  Event pop() {
+    const Event e = earliest();
+    cancel(e.id);
+    return e;
+  }
+  [[nodiscard]] const std::vector<Event>& pending() const { return pending_; }
+
+ private:
+  std::vector<Event> pending_;
+  std::uint64_t next_order_ = 0;
+};
+
+TEST(EventQueue, MatchesModelOnSeededOperationSequences) {
+  // 256 seeded sequences of schedule (equal times, times before the last
+  // pop, near events and timers 2^30..2^42 ns ahead), cancel (of live,
+  // fired, cancelled and recycled ids), next_time and pop. After every
+  // step the queue must agree with the model. Even seeds also peek at
+  // next_time() after every step, which settles the queue the way
+  // Simulator::run_until does; odd seeds pop without peeking first.
+  for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    sim::EventQueue q;
+    QueueModel model;
+    std::vector<int> fired;        // tags, in firing order
+    std::vector<sim::EventId> dead;  // fired or cancelled ids
+    std::set<sim::EventId> issued;
+    sim::Time last_pop = 0;
+    int next_tag = 0;
+    const bool peek_every_step = seed % 2 == 0;
+
+    const auto schedule = [&](sim::Time at) {
+      const int tag = next_tag++;
+      const sim::EventId id =
+          q.schedule(at, [&fired, tag] { fired.push_back(tag); });
+      ASSERT_NE(id, sim::kInvalidEventId);
+      ASSERT_TRUE(issued.insert(id).second) << "id reissued";
+      model.schedule(at, id, tag);
+    };
+    const auto pop = [&] {
+      const QueueModel::Event want = model.pop();
+      sim::EventQueue::Fired got = q.pop();
+      ASSERT_EQ(got.at, want.at);
+      ASSERT_EQ(got.id, want.id);
+      got.fn();
+      ASSERT_EQ(fired.back(), want.tag);
+      dead.push_back(got.id);
+      last_pop = got.at;
+    };
+    const auto cancel = [&](sim::EventId id) {
+      const bool want = model.cancel(id);
+      ASSERT_EQ(q.cancel(id), want);
+      if (want) dead.push_back(id);
+    };
+    const auto random_pending = [&] {
+      const auto& p = model.pending();
+      return p[rng.uniform_u64(p.size())];
+    };
+
+    const int steps = 64 + static_cast<int>(rng.uniform_u64(448));
+    for (int step = 0; step < steps; ++step) {
+      const std::uint64_t op = rng.uniform_u64(100);
+      if (op < 14 && model.size() > 0) {  // equal to a pending time
+        schedule(random_pending().at);
+      } else if (op < 20) {  // equal to, or before, the last pop
+        const auto back = static_cast<sim::Time>(rng.uniform_u64(3000));
+        schedule(std::max<sim::Time>(0, last_pop - back));
+      } else if (op < 42) {  // near: within 4 us of the last pop
+        schedule(last_pop + static_cast<sim::Time>(rng.uniform_u64(4000)));
+      } else if (op < 46) {  // timers 2^30..2^42 ns ahead
+        const unsigned bits = 30 + static_cast<unsigned>(rng.uniform_u64(13));
+        schedule(last_pop + (sim::Time{1} << bits) +
+                 static_cast<sim::Time>(rng.uniform_u64(1u << 20)));
+      } else if (op < 52 && model.size() > 0) {  // cancel a live id
+        cancel(random_pending().id);
+      } else if (op < 58 && !dead.empty()) {  // a fired or cancelled id
+        cancel(dead[rng.uniform_u64(dead.size())]);
+      } else if (op < 62 && model.size() > 0) {
+        // Recycle: vacate a slot (fire or cancel), schedule into it at
+        // once, then cancel the stale id; the newcomer must survive.
+        const sim::EventId old_id = random_pending().id;
+        cancel(old_id);
+        schedule(last_pop + static_cast<sim::Time>(rng.uniform_u64(2000)));
+        cancel(old_id);
+        cancel(sim::kInvalidEventId);
+      } else if (op < 68 && model.size() > 0) {  // peek
+        ASSERT_EQ(q.next_time(), model.earliest().at);
+      } else if (model.size() > 0) {
+        pop();
+      }
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(q.size(), model.size());
+      ASSERT_EQ(q.empty(), model.size() == 0);
+      if (peek_every_step && model.size() > 0) {
+        ASSERT_EQ(q.next_time(), model.earliest().at);
+      }
+    }
+    while (model.size() > 0) {
+      pop();
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(q.size(), model.size());
+    }
+    ASSERT_EQ(q.total_scheduled(), static_cast<std::uint64_t>(next_tag));
+  }
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
@@ -271,6 +417,105 @@ TEST(Simulator, DeterministicWithSameSeed) {
   };
   EXPECT_EQ(run(99), run(99));
   EXPECT_NE(run(99), run(100));
+}
+
+// --- Forwarding schedule_at -------------------------------------------------
+
+/// A callable that counts how often it is copied and moved.
+struct CountingCall {
+  int* copies;
+  int* moves;
+  int* calls;
+  CountingCall(int* c, int* m, int* k) : copies(c), moves(m), calls(k) {}
+  CountingCall(const CountingCall& o)
+      : copies(o.copies), moves(o.moves), calls(o.calls) {
+    ++*copies;
+  }
+  CountingCall(CountingCall&& o) noexcept
+      : copies(o.copies), moves(o.moves), calls(o.calls) {
+    ++*moves;
+  }
+  void operator()() const { ++*calls; }
+};
+
+TEST(Simulator, ScheduleAtBuildsTheCaptureInItsSlot) {
+  // The callable is forwarded to the queue slot it lives in: one move from
+  // the argument there, and one relocation out of it when the event fires.
+  sim::Simulator s;
+  int copies = 0;
+  int moves = 0;
+  int calls = 0;
+  s.schedule_at(5, CountingCall(&copies, &moves, &calls));
+  EXPECT_EQ(copies, 0);
+  EXPECT_EQ(moves, 1);
+  s.run_all();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(copies, 0);
+  EXPECT_EQ(moves, 2);
+}
+
+TEST(Simulator, ScheduleAtCopiesAnLvalueLambda) {
+  sim::Simulator s;
+  int copies = 0;
+  int moves = 0;
+  int calls = 0;
+  const CountingCall fn(&copies, &moves, &calls);
+  s.schedule_at(5, fn);
+  s.schedule_after(7, fn);
+  EXPECT_EQ(copies, 2);  // one copy each, straight into its slot
+  EXPECT_EQ(moves, 0);
+  fn();  // the caller's lambda is untouched
+  s.run_all();
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(Simulator, ScheduleAtTakesAMoveOnlyCapture) {
+  sim::Simulator s;
+  int seen = 0;
+  auto payload = std::make_unique<int>(7);
+  s.schedule_at(5, [payload = std::move(payload), &seen] { seen = *payload; });
+  s.run_all();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(Simulator, ScheduleAtTakesAnEventQueueCallback) {
+  sim::Simulator s;
+  int hits = 0;
+  sim::EventQueue::Callback cb = [&hits] { ++hits; };
+  s.schedule_at(5, std::move(cb));
+  EXPECT_FALSE(static_cast<bool>(cb));  // the capture moved into the queue
+  s.run_all();
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(Simulator, ScheduleAtTakesAStdFunction) {
+  sim::Simulator s;
+  int hits = 0;
+  const std::function<void()> fn = [&hits] { ++hits; };
+  s.schedule_at(5, fn);             // copied
+  s.schedule_at(6, std::function<void()>(fn));  // moved
+  ASSERT_TRUE(static_cast<bool>(fn));
+  s.run_all();
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(Simulator, ScheduleAtTakesAnOversizedCapture) {
+  // A capture larger than the 64-byte buffer takes the heap fallback; it
+  // must still fire once and be freed after firing and on cancel.
+  sim::Simulator s;
+  auto owner = std::make_shared<int>(0);
+  std::array<std::uint64_t, 12> pad{};
+  pad[11] = 5;
+  auto big = [owner, pad] { *owner += static_cast<int>(pad[11]); };
+  static_assert(!sim::EventQueue::Callback::stores_inline<decltype(big)>());
+  s.schedule_at(5, big);
+  const sim::EventId dropped = s.schedule_at(6, std::move(big));
+  EXPECT_EQ(owner.use_count(), 3);
+  EXPECT_TRUE(s.cancel(dropped));
+  EXPECT_EQ(owner.use_count(), 2);
+  s.run_all();
+  EXPECT_EQ(*owner, 5);
+  EXPECT_EQ(owner.use_count(), 1);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for src/util: RNG determinism and distributions, statistics,
-// hex codec, JSON parser.
+// hex codec, JSON parser, strict number parsing.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "util/hex.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -251,6 +252,19 @@ TEST(Timeline, BucketsAndRates) {
 // ---------------------------------------------------------------------------
 // Hex
 // ---------------------------------------------------------------------------
+
+TEST(Parse, UnsignedTakesOnlyWholeDecimalNumbers) {
+  EXPECT_EQ(util::parse_unsigned("0"), 0u);
+  EXPECT_EQ(util::parse_unsigned("7"), 7u);
+  EXPECT_EQ(util::parse_unsigned("18446744073709551615"),
+            18446744073709551615ull);
+  for (const char* bad : {"", "two", "x7", "3x", "-1", "+1", " 7", "7 ",
+                          "0x10", "7.5", "18446744073709551616"}) {
+    EXPECT_FALSE(util::parse_unsigned(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(util::parse_unsigned("4294967295", 4294967295u), 4294967295u);
+  EXPECT_FALSE(util::parse_unsigned("4294967296", 4294967295u).has_value());
+}
 
 TEST(Hex, RoundTrip) {
   const std::vector<std::uint8_t> bytes = {0x00, 0x01, 0xab, 0xff, 0x7f};
