@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       grid.push_back(harness::timeline_spec(
           cfg, wl, horizon, bucket, fluct_start, fluct_end,
           sim::milliseconds(10), sim::milliseconds(100), fault_at,
-          cfg.n_replicas - 1, harness::FaultKind::kSilence));
+          cfg.n_replicas - 1));
     }
   }
 

@@ -1,6 +1,8 @@
 // Component microbenchmarks (google-benchmark): the substrate costs that
-// feed the calibration constants in Config and DESIGN.md §5. Not a paper
-// figure; kept so regressions in the hot paths are visible.
+// feed the calibration constants in Config and DESIGN.md §5, and whole
+// runs at a small fixed scale. Not a paper figure; kept so regressions in
+// the hot paths are visible. tools/check_perf.py gates a subset of the
+// cases (its GATED list) in CI against the committed BENCH_<n>.json.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -21,7 +23,10 @@
 #include "harness/experiment.h"
 #include "mempool/mempool.h"
 #include "model/order_stats.h"
+#include "model/perf_model.h"
 #include "net/link_model.h"
+#include "net/network.h"
+#include "quorum/cert_verifier.h"
 #include "quorum/vote_aggregator.h"
 #include "sim/event_queue.h"
 #include "storage/block_store.h"
@@ -31,6 +36,23 @@
 namespace {
 
 using namespace bamboo;
+
+// Machine-speed normalizer for the gate: a fixed xorshift64 loop that
+// touches no memory, so its time scales with single-core speed alone.
+void BM_Calibration(benchmark::State& state) {
+  constexpr std::int64_t kSteps = std::int64_t{1} << 20;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < kSteps; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    benchmark::DoNotOptimize(x);
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+}
+BENCHMARK(BM_Calibration);
 
 void BM_Sha256(benchmark::State& state) {
   const std::vector<std::uint8_t> data(
@@ -242,6 +264,83 @@ void BM_FileStoreAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_FileStoreAppend)->Arg(80)->Arg(400);
 
+// Broadcast fan-out: one sender fanning a vote (arg 0) or a proposal of
+// 400 transactions (arg 1) to 31 peers through the NIC queues, link
+// sampling and delivery scheduling, one broadcast per iteration.
+void BM_Broadcast(benchmark::State& state) {
+  constexpr std::uint32_t kEndpoints = 32;
+  sim::Simulator simulator(7);
+  net::SimNetwork network(simulator, kEndpoints, net::NetConfig{});
+  std::int64_t delivered = 0;
+  for (types::NodeId id = 0; id < kEndpoints; ++id) {
+    network.set_handler(id,
+                        [&delivered](const net::Envelope&) { ++delivered; });
+  }
+  types::MessagePtr msg = types::make_message(types::VoteMsg{});
+  if (state.range(0) == 1) {
+    types::Block::Fields f;
+    f.parent_hash = types::Block::genesis()->hash();
+    f.view = 1;
+    f.height = 1;
+    f.txns.resize(400);
+    for (std::size_t i = 0; i < f.txns.size(); ++i) f.txns[i].id = i;
+    types::ProposalMsg prop;
+    prop.block = std::make_shared<const types::Block>(std::move(f));
+    msg = types::make_message(std::move(prop));
+  }
+  for (auto _ : state) {
+    simulator.schedule_at(simulator.now(), [&network, &msg] {
+      network.broadcast(0, kEndpoints, msg);
+    });
+    simulator.run_all();
+  }
+  state.SetItemsProcessed(delivered);
+}
+BENCHMARK(BM_Broadcast)->Arg(0)->Arg(1);
+
+// Certificate verification: one check_qc plus one check_tc per iteration,
+// real HMAC checks over a pool of 32 honestly signed QCs and TCs at n = 16
+// (an 11-signature quorum), the host cost every certificate a replica
+// receives pays. Rejecting one of them is an error, not a rate.
+void BM_CertificateChecks(benchmark::State& state) {
+  constexpr std::uint32_t n = 16;
+  const std::uint32_t q = types::quorum_size(n);
+  const crypto::KeyStore keys(11, n);
+  std::vector<types::QuorumCert> qcs;
+  std::vector<types::TimeoutCert> tcs;
+  for (std::uint32_t v = 1; v <= 32; ++v) {
+    types::QuorumCert qc;
+    qc.view = v;
+    qc.height = v;
+    qc.block_hash = crypto::Sha256::hash("block" + std::to_string(v));
+    const crypto::Digest digest = types::vote_digest(v, qc.block_hash);
+    for (std::uint32_t i = 0; i < q; ++i) qc.sigs.push_back(keys.sign(i, digest));
+    types::TimeoutCert tc;
+    tc.view = v + 1;
+    for (std::uint32_t i = 0; i < q; ++i) {
+      tc.reported_qc_views.push_back(v);
+      tc.sigs.push_back(keys.sign(i, types::timeout_digest(tc.view, v)));
+    }
+    tc.high_qc = qc;
+    qcs.push_back(std::move(qc));
+    tcs.push_back(std::move(tc));
+  }
+  quorum::CertVerifier verifier(keys, n);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const bool ok =
+        verifier.check_qc(qcs[i & 31]) == quorum::CertCheck::kOk &&
+        verifier.check_tc(tcs[i & 31]) == quorum::CertCheck::kOk;
+    ++i;
+    if (!ok) {
+      state.SkipWithError("a valid certificate was rejected");
+      break;
+    }
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_CertificateChecks);
+
 void BM_MempoolAddTake(benchmark::State& state) {
   mempool::Mempool pool(100000);
   types::TxId next = 1;
@@ -397,6 +496,103 @@ void BM_ChurnDispatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChurnDispatch);
+
+// Whole runs: one fixed RunSpec through harness::execute_full per
+// iteration, simulated events counted as items, so the case's rate is the
+// whole harness's speed (consensus, transport, workload, metrics). A run
+// that violates safety is an error, not a rate.
+void BM_WholeRun(benchmark::State& state, const harness::RunSpec& spec) {
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    const harness::RunOutput out = harness::execute_full(spec);
+    events += static_cast<std::int64_t>(out.events_executed);
+    if (!out.result.consistent) {
+      state.SkipWithError("the run violated safety");
+      break;
+    }
+  }
+  state.SetItemsProcessed(events);
+}
+
+// HotStuff-family closed loop at n = 4, 400-transaction blocks, 256
+// sessions, 0.25 s warm-up and a 0.75 s window (test_perf_pinned's
+// shape).
+harness::RunSpec whole_run_spec(const std::string& protocol) {
+  harness::RunSpec spec;
+  spec.cfg.protocol = protocol;
+  spec.cfg.n_replicas = 4;
+  spec.cfg.bsize = 400;
+  spec.cfg.psize = 128;
+  spec.cfg.memsize = 200000;
+  spec.cfg.seed = 11;
+  spec.workload.mode = client::LoadMode::kClosedLoop;
+  spec.workload.concurrency = 256;
+  spec.opts.warmup_s = 0.25;
+  spec.opts.measure_s = 0.75;
+  return spec;
+}
+
+// n = 6 over three WAN regions with lognormal links, 1% loss and a
+// repeating degrade/restore plus a fluctuation window.
+harness::RunSpec wan_churn_spec() {
+  harness::RunSpec spec = whole_run_spec("hotstuff");
+  spec.cfg.n_replicas = 6;
+  spec.cfg.topology = "wan:3:10";
+  spec.cfg.link_model = "lognormal";
+  spec.cfg.link_loss = 0.01;
+  spec.cfg.timeout = sim::milliseconds(300);
+  spec.cfg.churn =
+      "degrade@0.3s:link=0-1:+5ms:every=200ms;"
+      "restore@0.4s:link=0-1:every=200ms;"
+      "fluct@0.5s:for=100ms:lo=2ms:hi=8ms";
+  return spec;
+}
+
+// Chain-sync batch apply: replicas 2-3 miss a partition window under 2%
+// loss and fetch the gap in batches of 8 after the heal.
+harness::RunSpec chain_sync_spec() {
+  harness::RunSpec spec = whole_run_spec("hotstuff");
+  spec.cfg.timeout = sim::milliseconds(200);
+  spec.cfg.sync_batch = 8;
+  spec.cfg.link_loss = 0.02;
+  spec.cfg.churn = "partition@0.4s:groups=0-1|2-3;heal@0.6s";
+  return spec;
+}
+
+// CPU-bound consensus: batch certificate verification at 160 us per
+// signature on a 2-worker verify pool, under real backpressure.
+harness::RunSpec cpu_bound_spec() {
+  harness::RunSpec spec = whole_run_spec("hotstuff");
+  spec.cfg.verify_strategy = "batch";
+  spec.cfg.cpu_verify_per_sig = sim::microseconds(160);
+  spec.cfg.cpu_verify_batch_base = sim::microseconds(160);
+  spec.cfg.cpu_verify_batch_per_sig = sim::microseconds(16);
+  spec.cfg.cpu_workers = 2;
+  return spec;
+}
+
+// Open loop past the knee: Poisson arrivals at 1.5x the model's
+// saturation rate from a 1M-client population into a 4,000-transaction
+// mempool, so admission rejects and histogram recording run hot.
+harness::RunSpec openloop_saturated_spec() {
+  harness::RunSpec spec = whole_run_spec("hotstuff");
+  spec.workload.mode = client::LoadMode::kOpenLoop;
+  spec.workload.concurrency = 0;
+  spec.workload.client_population = 1'000'000;
+  spec.cfg.memsize = 4000;
+  spec.workload.arrival_rate_tps =
+      1.5 * model::PerfModel(spec.cfg).saturation_tps();
+  spec.offered = spec.workload.arrival_rate_tps;
+  return spec;
+}
+
+BENCHMARK_CAPTURE(BM_WholeRun, hotstuff, whole_run_spec("hotstuff"));
+BENCHMARK_CAPTURE(BM_WholeRun, 2chs, whole_run_spec("2chs"));
+BENCHMARK_CAPTURE(BM_WholeRun, streamlet, whole_run_spec("streamlet"));
+BENCHMARK_CAPTURE(BM_WholeRun, wan_churn, wan_churn_spec());
+BENCHMARK_CAPTURE(BM_WholeRun, chain_sync, chain_sync_spec());
+BENCHMARK_CAPTURE(BM_WholeRun, cpu_bound, cpu_bound_spec());
+BENCHMARK_CAPTURE(BM_WholeRun, openloop_saturated, openloop_saturated_spec());
 
 void BM_SyncerBatchApply(benchmark::State& state) {
   // Chain-sync validation + batch apply (PR 5): one ChainResponseMsg of

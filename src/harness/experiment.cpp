@@ -1027,7 +1027,7 @@ RunSpec timeline_spec(const core::Config& cfg,
                       double bucket_s, double fluct_start_s,
                       double fluct_end_s, sim::Duration fluct_lo,
                       sim::Duration fluct_hi, double crash_at_s,
-                      types::NodeId crash_replica, FaultKind fault) {
+                      types::NodeId crash_replica) {
   RunSpec spec;
   spec.cfg = cfg;
   spec.workload = wl;
@@ -1058,8 +1058,7 @@ RunSpec timeline_spec(const core::Config& cfg,
   }
   if (crash_at_s > 0) {
     core::ChurnEvent ev;
-    ev.kind = fault == FaultKind::kCrash ? core::ChurnKind::kCrash
-                                         : core::ChurnKind::kSilence;
+    ev.kind = core::ChurnKind::kSilence;
     ev.at_s = crash_at_s;
     ev.target = core::ChurnTarget::kReplica;
     ev.a = crash_replica;

@@ -199,12 +199,6 @@ struct DemocracyScalars {
     const std::map<types::NodeId, std::uint64_t>& counts,
     std::uint32_t n_replicas, std::uint32_t byz_no);
 
-/// How the Fig. 15 fault is injected at crash_at_s.
-enum class FaultKind {
-  kSilence,  ///< the paper's "silence attack (crash)": stops proposing
-  kCrash,    ///< hard fail-stop
-};
-
 /// The mid-run network-churn schedule: an ordered list of typed, timed
 /// events (link degradation/restoration, partitions, loss bursts, global
 /// fluctuation windows, crash/silence faults — see core/churn.h) executed
@@ -303,8 +297,8 @@ struct RunOutput {
   std::vector<double> bucket_start_s;  ///< empty unless timeline requested
   std::vector<double> tx_per_s;
   /// Simulator events executed over the whole run (warm-up included).
-  /// Engine-speed accounting for the perf harness (bench_perf): events/sec
-  /// = events_executed / wall time. Not part of RunResult, so result
+  /// Engine-speed accounting for bench_micro's whole-run cases: events/sec
+  /// = events_executed / host time. Not part of RunResult, so result
   /// equality and the report schema are untouched.
   std::uint64_t events_executed = 0;
 };
@@ -324,9 +318,12 @@ std::vector<RunSpec> open_loop_specs(const core::Config& cfg,
                                      const RunOptions& opts = {});
 
 /// Build the spec for a Fig. 15 responsiveness timeline run. The
-/// fluctuation window and fault are expressed as churn-DSL events in the
-/// returned spec's cfg.churn (so they reach provenance); a negative
+/// fluctuation window and the paper's "silence attack (crash)" on
+/// crash_replica (it stops proposing) are expressed as churn-DSL events in
+/// the returned spec's cfg.churn (so they reach provenance); a negative
 /// fluct_start_s or non-positive crash_at_s omits the respective event.
+/// Other faults, a hard crash included, ride in cfg.churn, which this
+/// appends to.
 /// Throws std::invalid_argument on a half-specified window
 /// (fluct_start_s >= 0 with fluct_end_s < fluct_start_s) — the old
 /// FaultPlan silently ignored it.
@@ -335,7 +332,6 @@ RunSpec timeline_spec(const core::Config& cfg,
                       double bucket_s, double fluct_start_s,
                       double fluct_end_s, sim::Duration fluct_lo,
                       sim::Duration fluct_hi, double crash_at_s,
-                      types::NodeId crash_replica,
-                      FaultKind fault = FaultKind::kSilence);
+                      types::NodeId crash_replica);
 
 }  // namespace bamboo::harness

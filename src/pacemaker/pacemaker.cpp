@@ -105,17 +105,10 @@ sim::Duration Pacemaker::current_timeout() const {
 void Pacemaker::arm_timer() {
   cancel_timer();
   if (!running_) return;
-  if (settings_.slots <= 1) {
-    timer_ = sim_.schedule_after(current_timeout(), [this] {
-      timer_ = sim::kInvalidEventId;
-      local_timeout();
-    });
-    return;
-  }
-  // Multi-leader: slot s is expected to show a QC within (s+1) view
-  // timeouts of view entry. The earliest still-armed timer that fires
-  // times the whole view out (local_timeout re-arms the full set with
-  // backoff, exactly like the legacy re-broadcast loop).
+  // Slot s is expected to show a QC within (s+1) view timeouts of view
+  // entry; a single-leader view has one slot and so one timer. The
+  // earliest still-armed timer that fires times the whole view out
+  // (local_timeout re-arms the full set with backoff).
   const auto base = current_timeout();
   slot_timers_.assign(settings_.slots, sim::kInvalidEventId);
   for (types::Slot s = 0; s < settings_.slots; ++s) {
@@ -146,10 +139,6 @@ void Pacemaker::arm_stuck_probe() {
 }
 
 void Pacemaker::cancel_timer() {
-  if (timer_ != sim::kInvalidEventId) {
-    sim_.cancel(timer_);
-    timer_ = sim::kInvalidEventId;
-  }
   for (sim::EventId& t : slot_timers_) {
     if (t != sim::kInvalidEventId) {
       sim_.cancel(t);

@@ -30,11 +30,10 @@ class Pacemaker {
     sim::Duration base_timeout = sim::milliseconds(100);
     double backoff = 1.0;  ///< multiplier per consecutive timeout (>= 1)
     sim::Duration max_timeout = sim::seconds(10);
-    /// Proposal slots per view (election width). 1 keeps the legacy
-    /// single-timer pacemaker byte-identical; > 1 arms one timer per slot
-    /// (slot s must show a QC within (s+1) x the view timeout) so a
-    /// stalled slot leader times the view out even when earlier slots
-    /// made progress.
+    /// Proposal slots per view (election width). One timer per slot
+    /// (slot s must show a QC within (s+1) x the view timeout), so with
+    /// several slots a stalled slot leader times the view out even when
+    /// earlier slots made progress.
     types::Slot slots = 1;
   };
   struct Callbacks {
@@ -92,7 +91,7 @@ class Pacemaker {
   [[nodiscard]] std::uint64_t timeouts_fired() const { return timeouts_fired_; }
   [[nodiscard]] std::uint64_t views_via_qc() const { return views_via_qc_; }
   [[nodiscard]] std::uint64_t views_via_tc() const { return views_via_tc_; }
-  /// Per-slot timer expirations (multi-leader mode; 0 on the legacy path).
+  /// Slot timer expirations (with one slot per view, the view timeouts).
   [[nodiscard]] std::uint64_t slot_timeouts() const { return slot_timeouts_; }
 
  private:
@@ -108,8 +107,7 @@ class Pacemaker {
   void arm_stuck_probe();
 
   types::View view_ = 0;
-  sim::EventId timer_ = sim::kInvalidEventId;
-  /// One timer per slot in multi-leader mode (slots > 1); timer_ unused.
+  /// One timer per slot of the current view.
   std::vector<sim::EventId> slot_timers_;
   /// Multi-leader: the first slot of the current view with no QC yet —
   /// the slot the stuck probe watches.

@@ -60,10 +60,17 @@ void Syncer::send_request(const Key& key, Pending& pending) {
 void Syncer::request(const crypto::Digest& want, types::NodeId from) {
   if (stopped_ || from == id_ || from >= n_replicas_) return;
   if (forest_.contains(want)) return;
-  // Pipelined mode already fetched buffered blocks as gap segments;
-  // re-fetching bytes sitting in the orphan buffer is pointless. (Gated
-  // so the legacy serial schedule stays byte-identical.)
-  if (settings_.pipeline > 1 && forest_.buffered(want)) return;
+  // Pipelined mode already fetched buffered blocks as gap segments, so
+  // re-fetching bytes sitting in the orphan buffer is pointless; but the
+  // fetch of the first missing ancestor below them may have expired, so
+  // continue the gap walk from the buffered block instead. (Gated so the
+  // legacy serial schedule stays byte-identical.)
+  if (settings_.pipeline > 1) {
+    if (const types::BlockPtr held = forest_.buffered_get(want)) {
+      continue_gap(held, from);
+      return;
+    }
+  }
   const Key key{want, 0};
   if (pending_.count(key) > 0) return;  // dedupe in-flight fetches
   Pending pending;

@@ -146,6 +146,8 @@ class Syncer {
   /// Ensure a fetch for `want` is in flight. `from` (the peer whose
   /// message referenced the hash) is asked first; self/client/unknown
   /// sources and already-present or already-in-flight hashes are no-ops.
+  /// With pipelining on, a hash already in the orphan buffer continues
+  /// the gap walk below it (continue_gap) instead.
   void request(const crypto::Digest& want, types::NodeId from);
 
   /// Serve a peer's chain request from the local forest (no-op when the

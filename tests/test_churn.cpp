@@ -573,7 +573,7 @@ TEST(ChurnEngine, FluctuationEventMatchesLegacyTimelineSpec) {
   const auto spec = harness::timeline_spec(
       cfg, wl, /*horizon=*/1.2, /*bucket=*/0.3, /*fluct_start=*/0.3,
       /*fluct_end=*/0.6, sim::milliseconds(10), sim::milliseconds(40),
-      /*crash_at=*/0.9, 3, harness::FaultKind::kSilence);
+      /*crash_at=*/0.9, 3);
   EXPECT_EQ(spec.cfg.churn,
             "fluct@0.3s:for=0.3s:lo=10ms:hi=40ms;silence@0.9s:replica=3");
 
@@ -600,7 +600,7 @@ TEST(ChurnEngine, Fig15StyleScheduleIsPinned) {
   const auto spec = harness::timeline_spec(
       cfg, wl, /*horizon=*/1.2, /*bucket=*/0.3, /*fluct_start=*/0.3,
       /*fluct_end=*/0.6, sim::milliseconds(10), sim::milliseconds(40),
-      /*crash_at=*/0.9, 3, harness::FaultKind::kSilence);
+      /*crash_at=*/0.9, 3);
   const auto out = harness::execute_full(spec);
   EXPECT_DOUBLE_EQ(out.result.throughput_tps, 1491.6666666666667);
   EXPECT_DOUBLE_EQ(out.result.latency_ms_mean, 62.877549871508371);

@@ -17,10 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "client/workload.h"
+#include "harness/cluster.h"
 #include "harness/experiment.h"
+#include "model/perf_model.h"
+#include "util/json.h"
 
 namespace bamboo {
 namespace {
@@ -77,6 +81,52 @@ TEST(LivenessResume, AfterLeaderCrash) {
     EXPECT_GT(r.blocks_committed, 0u)
         << p.protocol << ": no commits after the leader crash";
   }
+}
+
+TEST(LivenessResume, PipelinedSyncRecoversAfterItsFetchesExpire) {
+  // The repository benchmark's fault workload (2CHS, n=7, file stores,
+  // sync batch 8, pipeline 4, snapshots from a gap of 8, 100 ms sync
+  // timeout, open-loop load at 35% of the model's saturation) on the
+  // cluster seed of its seed 18, cut down to the four churn events that
+  // together wedged replica 5. During the last loss burst (14-14.8 s) two
+  // of its fetches ran out of retries; every later trigger named a block
+  // already in its orphan buffer, and such a trigger used to start no
+  // fetch, so replica 5 stayed at height 4,807 for the rest of the run.
+  // 0.7 s after the burst it must be back at the cluster's height.
+  const core::Config cfg = core::Config::from_json(util::Json::parse(R"({
+      "protocol": "2chs", "n": 7, "bsize": 400, "psize": 128,
+      "rtt_ms": 1, "rtt_stddev_ms": 0.1, "memsize": 2000,
+      "admission": "drop", "store": "file", "retention": 64,
+      "sync_batch": 8, "sync_pipeline": 4, "snapshot_gap": 8,
+      "sync_timeout_ms": 100, "seed": 602628908198590,
+      "churn": "partition@2s:groups=0-1-2-4-5-6|3;heal@3s;burst@6s:replica=1:loss=0.9:for=0.8s;crash-restart@10s:replica=2:for=0.8s;burst@14s:replica=5:loss=0.9:for=0.8s"})"));
+  client::WorkloadConfig wl;
+  wl.mode = client::LoadMode::kOpenLoop;
+  wl.arrival_rate_tps = 0.35 * model::PerfModel(cfg).saturation_tps();
+  wl.client_population = 1'000'000;
+  wl.payload_size = cfg.psize;
+
+  harness::RecoveryProbe probe;  // outlives the cluster's probe events
+  harness::Cluster cluster(cfg);
+  client::WorkloadDriver driver(cluster.simulator(), cluster.network(),
+                                cluster.config(), wl);
+  driver.install();
+  harness::install_churn(cluster, harness::effective_churn({}, cfg), &probe);
+  cluster.start();
+  driver.start();
+  cluster.simulator().run_for(sim::from_seconds(1));
+  driver.begin_measurement();
+  cluster.simulator().run_for(sim::from_seconds(14.5));
+
+  types::Height highest = 0;
+  for (types::NodeId id = 0; id < cfg.n_replicas; ++id) {
+    highest =
+        std::max(highest, cluster.replica(id).forest().committed_height());
+  }
+  const types::Height lagging = cluster.replica(5).forest().committed_height();
+  EXPECT_GE(lagging + 2, highest)
+      << "replica 5 at " << lagging << ", the cluster at " << highest;
+  EXPECT_TRUE(cluster.check_consistency().consistent);
 }
 
 // --- pinned recovery trajectories, one per protocol -----------------------

@@ -29,7 +29,7 @@
 namespace bamboo {
 namespace {
 
-/// The compat-spec shape shared with bench_perf's end-to-end metrics.
+/// The compat-spec shape shared with bench_micro's BM_WholeRun cases.
 harness::RunSpec base_spec(const std::string& protocol) {
   core::Config cfg;
   cfg.protocol = protocol;

@@ -9,13 +9,13 @@
    reproduction matrix.
 3. Every `bench_<name>` mentioned anywhere in the docs must correspond to
    an existing bench source — catches stale binary names left behind by
-   renames.
+   renames. CHANGES.md, the history, may still name a retired bench.
 4. Handbook docs that other docs are contractually required to link
    (REQUIRED_DOC_LINKS) must exist and be linked from each named page.
 5. Every recipe line inside a fenced code block that invokes a
    `build/bench_*` binary must name an existing bench and use only flags
-   the shared CLI (or bench_perf's own CLI) actually accepts — catches
-   handbook recipes that rot as flags are renamed.
+   the shared CLI (or, for bench_micro, google-benchmark's) actually
+   accepts — catches handbook recipes that rot as flags are renamed.
 6. The backticked column names in the first cells of the Record column
    schema table (docs/ARCHITECTURE.md) must equal the header line of the
    golden CSV fixture, in order; a row marked "(each + `_ci95`)" also
@@ -30,7 +30,9 @@ import sys
 
 SKIP_DIRS = {".git", "build", ".claude", "node_modules"}
 # Bench sources that are tools or optional, not figure reproductions.
-NON_FIGURE_BENCHES = {"bench_merge", "bench_micro", "bench_perf"}
+NON_FIGURE_BENCHES = {"bench_merge", "bench_micro"}
+# (doc, bench): the history may name a retired bench.
+RETIRED_BENCH_REFS = {("CHANGES.md", "bench_perf")}
 # Benches the docs may reference as FUTURE work (ROADMAP items) without a
 # source existing yet; remove an entry once its bench lands.
 PLANNED_BENCHES = set()
@@ -43,8 +45,10 @@ REQUIRED_DOC_LINKS = {
 # Flags bench_common.h's parse_args accepts (every figure bench + tools).
 KNOWN_BENCH_FLAGS = {"--full", "--threads", "--seed", "--reps", "--duration",
                      "--out", "--format", "--shard", "--help"}
-# bench_perf has its own CLI.
-KNOWN_PERF_FLAGS = {"--quick", "--out", "--label", "--baseline", "--help"}
+# bench_micro takes google-benchmark's flags.
+KNOWN_MICRO_FLAGS = {"--benchmark_filter", "--benchmark_repetitions",
+                     "--benchmark_min_time", "--benchmark_out",
+                     "--benchmark_out_format", "--help"}
 
 SCHEMA_DOC = "docs/ARCHITECTURE.md"
 SCHEMA_HEADING = "### The Record column schema (authoritative)"
@@ -54,7 +58,7 @@ CI_NOTE = "(each + `_ci95`)"
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_REF_RE = re.compile(r"\b(bench_[a-z0-9_]+)\b")
 RECIPE_RE = re.compile(r"(?:^|[\s./])build/(bench_[a-z0-9_]+)(\s[^\n]*)?$")
-FLAG_RE = re.compile(r"(--[a-z-]+)")
+FLAG_RE = re.compile(r"(--[a-z_-]+)")
 CODE_NAME_RE = re.compile(r"`([A-Za-z0-9_]+)`")
 
 
@@ -122,13 +126,14 @@ def check_stale_bench_refs(root, benches):
     for path in md_files(root):
         with open(path, encoding="utf-8") as f:
             text = f.read()
+        rel = os.path.relpath(path, root)
         for ref in set(BENCH_REF_RE.findall(text)):
             if (
                 ref not in benches
                 and ref != "bench_common"
                 and ref not in PLANNED_BENCHES
+                and (rel, ref) not in RETIRED_BENCH_REFS
             ):
-                rel = os.path.relpath(path, root)
                 errors.append(f"{rel}: stale bench reference '{ref}' (no "
                               f"bench/{ref}.cpp)")
     return errors
@@ -178,7 +183,7 @@ def check_recipes(root, benches):
                     f"{rel}: recipe invokes '{bench}' but there is no "
                     f"bench/{bench}.cpp")
                 continue
-            known = (KNOWN_PERF_FLAGS if bench == "bench_perf"
+            known = (KNOWN_MICRO_FLAGS if bench == "bench_micro"
                      else KNOWN_BENCH_FLAGS)
             for flag in FLAG_RE.findall(tail):
                 if flag not in known:

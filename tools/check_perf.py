@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the tracked BENCH_<n>.json trajectory.
+"""Perf-regression gate over bench_micro's gated cases.
 
-Every PR commits one BENCH_<n>.json at the repo root (emitted by
-`bench_perf --label BENCH_<n> --out BENCH_<n>.json`). This script compares
-a candidate run against the highest-numbered committed BENCH_*.json and
-fails on large regressions, so simulator speed can only ratchet forward.
+GATED below lists the gated cases once. The recording of a committed
+BENCH_<n>.json, the CI perf job and the smoke_perf_gate ctest all select
+them with the filter this script prints:
 
-Machines differ, so raw rates are not compared directly: every metric is
-first divided by the run's own `calibration` metric (a fixed
-integer-arithmetic loop that scales with single-core speed). The gate
-fires only when the calibration-normalized ratio of candidate/reference
-drops below 1 - tolerance (default 0.25 — generous enough for CI-runner
-noise, tight enough to catch a lost optimization).
+    ./build/bench_micro \\
+        --benchmark_filter="$(python3 tools/check_perf.py --filter)" \\
+        --benchmark_repetitions=5 \\
+        --benchmark_out=BENCH_<n>.json --benchmark_out_format=json
 
-Modes:
-  check_perf.py --candidate NEW.json [--reference OLD.json] [--tolerance F]
-      Gate NEW against OLD (default: latest BENCH_*.json in the repo root
-      that is not the candidate itself). Exit 1 on regression.
-  check_perf.py --validate FILE.json
-      Schema-validate one emitted file (the smoke_bench_perf ctest uses
-      this so the emitter itself cannot rot). Exit 1 on malformed output.
+Machines differ, so raw times are not compared directly. Per case the gate
+takes the median cpu_time over the run's repetitions and divides the
+median of BM_Calibration (a fixed integer loop that scales with
+single-core speed) by it: a rate in units of the machine's speed. A case
+fails when that normalized rate drops below 1 - tolerance (default 0.25)
+of the best normalized rate any reference holds for it (by default every
+committed BENCH_<n>.json except the candidate), when it is missing from
+the candidate, or when it reported an error (a whole run that violated
+safety, a valid certificate that was rejected). Each case's coefficient
+of variation across the repetitions is printed as its spread.
+
+Usage:
+  check_perf.py --filter
+  check_perf.py --candidate NEW.json [--reference OLD.json ...]
+                [--tolerance F]
 """
 
 import argparse
@@ -27,139 +32,156 @@ import glob
 import json
 import os
 import re
+import statistics
 import sys
 
-SCHEMA = "bamboo-perf/1"
-# Metrics are rates (higher is better); `calibration` is the normalizer
-# and is exempt from gating.
-CALIBRATION = "calibration"
+CALIBRATION = "BM_Calibration"
+# One bench_micro case per gated metric; CALIBRATION is the normalizer.
+GATED = [
+    CALIBRATION,
+    "BM_EventQueueChurn",
+    "BM_Broadcast/0",
+    "BM_Broadcast/1",
+    "BM_LinkDelaySampling/0",
+    "BM_BlockWireSize/400",
+    "BM_CertificateChecks",
+    "BM_ChurnDispatch",
+    "BM_FileStoreAppend/80",
+    "BM_WholeRun/hotstuff",
+    "BM_WholeRun/2chs",
+    "BM_WholeRun/streamlet",
+    "BM_WholeRun/wan_churn",
+    "BM_WholeRun/chain_sync",
+    "BM_WholeRun/cpu_bound",
+    "BM_WholeRun/openloop_saturated",
+]
 BENCH_NAME_RE = re.compile(r"BENCH_(\d+)\.json$")
+SECONDS_PER_UNIT = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
-def load(path):
+def filter_regex():
+    return "^(" + "|".join(re.escape(name) for name in GATED) + ")$"
+
+
+def read_runs(path):
+    """{case: (cpu seconds per repetition, error messages)} for the gated
+    cases in a google-benchmark JSON file; aggregate rows are ignored."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    problems = validate(doc)
-    if problems:
-        for p in problems:
-            print(f"error: {path}: {p}", file=sys.stderr)
-        sys.exit(1)
-    return doc
-
-
-def validate(doc):
-    problems = []
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema is {doc.get('schema')!r}, want {SCHEMA!r}")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list) or not metrics:
-        return problems + ["no metrics array"]
-    names = set()
-    for m in metrics:
-        name = m.get("name")
-        if not name:
-            problems.append("metric without a name")
+    runs = {}
+    for b in doc.get("benchmarks", []):
+        name = b.get("run_name", b.get("name"))
+        if name not in GATED or b.get("run_type", "iteration") != "iteration":
             continue
-        if name in names:
-            problems.append(f"duplicate metric {name!r}")
-        names.add(name)
-        value = m.get("value")
-        if not isinstance(value, (int, float)) or value <= 0:
-            problems.append(f"metric {name!r}: non-positive value {value!r}")
-        if not isinstance(m.get("unit"), str):
-            problems.append(f"metric {name!r}: missing unit")
-    if CALIBRATION not in names:
-        problems.append(f"missing the {CALIBRATION!r} normalizer metric")
-    return problems
+        times, errors = runs.setdefault(name, ([], []))
+        unit = SECONDS_PER_UNIT.get(b.get("time_unit", "ns"))
+        cpu = b.get("cpu_time")
+        if b.get("error_occurred"):
+            errors.append(b.get("error_message", "error"))
+        elif unit is None or not isinstance(cpu, (int, float)) or cpu <= 0:
+            errors.append(f"cpu_time {cpu!r} {b.get('time_unit')!r}")
+        else:
+            times.append(cpu * unit)
+    return runs
 
 
-def metric_map(doc):
-    return {m["name"]: float(m["value"]) for m in doc["metrics"]}
+def summarize(runs):
+    """{case: (normalized rate, coefficient of variation or None)} for the
+    cases that ran without an error."""
+    cal_times = runs.get(CALIBRATION, ([], []))[0]
+    if not cal_times:
+        return {}
+    cal = statistics.median(cal_times)
+    return {
+        name: (cal / statistics.median(times),
+               statistics.stdev(times) / statistics.mean(times)
+               if len(times) > 1 else None)
+        for name, (times, errors) in runs.items() if times and not errors
+    }
 
 
-def latest_reference(root, exclude):
-    exclude = os.path.abspath(exclude)
-    best, best_n = None, -1
-    for path in glob.glob(os.path.join(root, "BENCH_*.json")):
-        if os.path.abspath(path) == exclude:
-            continue
-        m = BENCH_NAME_RE.search(os.path.basename(path))
-        if m and int(m.group(1)) > best_n:
-            best, best_n = path, int(m.group(1))
-    return best
+def committed_references(root, exclude):
+    return sorted(
+        path for path in glob.glob(os.path.join(root, "BENCH_*.json"))
+        if BENCH_NAME_RE.search(os.path.basename(path))
+        and os.path.abspath(path) != os.path.abspath(exclude))
 
 
-def compare(candidate, reference, tolerance):
-    cand, ref = metric_map(candidate), metric_map(reference)
-    cal_c, cal_r = cand[CALIBRATION], ref[CALIBRATION]
-    print(f"calibration: candidate {cal_c:.1f} vs reference {cal_r:.1f} "
-          f"Mops/s (machine-speed ratio {cal_c / cal_r:.3f})")
+def compare(candidate, references, tolerance):
+    """Prints one line per gated case; returns the regressions."""
+    best = {}
+    for path in references:
+        for name, (rate, _) in summarize(read_runs(path)).items():
+            if name not in best or rate > best[name][0]:
+                best[name] = (rate, os.path.basename(path))
     regressions = []
-    for name in sorted(ref):
-        if name == CALIBRATION:
+    for name in GATED[1:]:
+        rate, cv = candidate[name]
+        spread = "n/a" if cv is None else f"{100 * cv:.1f}%"
+        if name not in best:
+            print(f"  {name}: {rate:.4g}, cv {spread}, no reference")
             continue
-        if name not in cand:
-            regressions.append(f"metric {name!r} disappeared from the "
-                               "candidate run")
-            continue
-        # Normalized ratio: how the metric moved relative to how the
-        # machine moved. 1.0 = same speed per unit of CPU.
-        ratio = (cand[name] / cal_c) / (ref[name] / cal_r)
+        ref, where = best[name]
+        ratio = rate / ref
         status = "ok"
         if ratio < 1.0 - tolerance:
             status = "REGRESSION"
             regressions.append(
-                f"{name}: normalized ratio {ratio:.3f} < "
-                f"{1.0 - tolerance:.3f} (raw {cand[name]:.4g} vs "
-                f"{ref[name]:.4g})"
-            )
-        print(f"  {name}: {ref[name]:.4g} -> {cand[name]:.4g} "
-              f"(normalized x{ratio:.3f}) {status}")
-    for name in sorted(set(cand) - set(ref) - {CALIBRATION}):
-        print(f"  {name}: new metric ({cand[name]:.4g}), no reference")
+                f"{name}: normalized rate {rate:.4g} is x{ratio:.3f} of the "
+                f"best {ref:.4g} ({where}), below {1.0 - tolerance:.3f}")
+        print(f"  {name}: {rate:.4g} vs best {ref:.4g} ({where}) "
+              f"x{ratio:.3f}, cv {spread} {status}")
     return regressions
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--candidate", help="BENCH json to gate")
-    ap.add_argument("--reference",
-                    help="BENCH json to gate against (default: "
-                         "highest-numbered BENCH_*.json in --root)")
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--filter", action="store_true",
+                    help="print the --benchmark_filter regex and exit")
+    ap.add_argument("--candidate", help="bench_micro JSON to gate")
+    ap.add_argument("--reference", action="append",
+                    help="bench_micro JSON to gate against (repeatable; "
+                         "default: every BENCH_<n>.json in --root)")
     ap.add_argument("--root", default=os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir),
-        help="repo root holding the committed BENCH_*.json trajectory")
+        help="repo root holding the committed BENCH_<n>.json files")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed normalized slowdown (default 0.25)")
-    ap.add_argument("--validate", metavar="FILE",
-                    help="only schema-validate FILE and exit")
     args = ap.parse_args()
 
-    if args.validate:
-        doc = load(args.validate)
-        n = len(doc["metrics"])
-        print(f"{args.validate}: valid ({n} metrics, label "
-              f"{doc.get('label')!r}, mode {doc.get('mode')!r})")
+    if args.filter:
+        print(filter_regex())
         return 0
-
     if not args.candidate:
-        ap.error("--candidate is required unless --validate is used")
-    candidate = load(args.candidate)
-    ref_path = args.reference or latest_reference(
+        ap.error("--candidate is required unless --filter")
+
+    runs = read_runs(args.candidate)
+    failed = []
+    for name in GATED:
+        times, errors = runs.get(name, ([], []))
+        failed += [f"{name}: {message}" for message in errors]
+        if not times and not errors:
+            failed.append(f"{name}: missing from the run")
+    if failed:
+        print(f"{len(failed)} gated case(s) missing or failed:",
+              file=sys.stderr)
+        for f in failed:
+            print(f"error: {f}", file=sys.stderr)
+        return 1
+    references = args.reference or committed_references(
         os.path.abspath(args.root), args.candidate)
-    if ref_path is None:
-        print("no reference BENCH_*.json found: nothing to gate against "
-              "(first tracked PR)")
+    if not references:
+        print("no reference BENCH_<n>.json found: nothing to gate against")
         return 0
-    print(f"reference: {ref_path}")
-    reference = load(ref_path)
-    regressions = compare(candidate, reference, args.tolerance)
+    print("references: " + ", ".join(references))
+    regressions = compare(summarize(runs), references, args.tolerance)
     if regressions:
         print(f"\n{len(regressions)} perf regression(s):", file=sys.stderr)
         for r in regressions:
             print(f"error: {r}", file=sys.stderr)
         return 1
-    print("\nperf OK: no metric regressed beyond tolerance")
+    print("\nperf OK: no gated case regressed beyond tolerance")
     return 0
 
 

@@ -27,10 +27,11 @@ and renders one SVG per figure/table into --svg-dir:
   other numeric column as a line.
 
 With ``--perf`` the inputs are instead the committed ``BENCH_<n>.json``
-perf artifacts (or a directory holding them, e.g. the repo root) and one
-trajectory SVG is rendered: every metric's calibration-normalized rate
-across PRs, indexed by the BENCH number, so speedups and regressions are
-visible over the repo's history.
+runs of bench_micro's gated cases (or a directory holding them, e.g. the
+repo root) and one trajectory SVG is rendered: every case's
+calibration-normalized median rate, as tools/check_perf.py computes it,
+indexed by the BENCH number, so speedups and regressions are visible over
+the repo's history.
 
 Usage:
     tools/plot_results.py build/smoke --svg-dir build/plots
@@ -49,6 +50,9 @@ import re
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from check_perf import CALIBRATION, read_runs, summarize  # noqa: E402
 
 
 def find_manifests(roots: list[str]) -> list[Path]:
@@ -361,11 +365,10 @@ def find_bench_jsons(roots: list[str]) -> list[tuple[int, Path]]:
 def load_perf_trajectory(roots: list[str]) -> list[dict]:
     points = []
     for number, path in find_bench_jsons(roots):
-        doc = json.loads(path.read_text())
-        metrics = {m["name"]: float(m["value"])
-                   for m in doc.get("metrics", [])}
-        if "calibration" not in metrics:
-            print(f"plot_results: {path} has no calibration metric, "
+        metrics = {name: rate
+                   for name, (rate, _) in summarize(read_runs(path)).items()}
+        if not metrics:
+            print(f"plot_results: {path} has no calibration case, "
                   "skipping", file=sys.stderr)
             continue
         points.append({"number": number, "path": path, "metrics": metrics})
@@ -373,26 +376,26 @@ def load_perf_trajectory(roots: list[str]) -> list[dict]:
 
 
 def plot_perf_trajectory(plt, points: list[dict], out_path: Path) -> None:
-    """Calibration-normalized rate per metric, vs BENCH number.
+    """Calibration-normalized rate per gated case, vs BENCH number.
 
-    Each metric is scaled by its run's calibration rate (machine speed)
-    and then by its own first appearance, so every line starts at 1.0 and
-    the y-axis reads as "speedup since first measured". e2e metrics
-    (whole-run events/sec) get solid lines; component metrics dashed."""
+    Each case's median time is scaled by its run's calibration median
+    (machine speed) and then by its own first appearance, so every line
+    starts at 1.0 and the y-axis reads as "speedup since first measured".
+    Whole runs get solid lines; layer cases dashed."""
     names = sorted({name for p in points for name in p["metrics"]
-                    if name != "calibration"})
+                    if name != CALIBRATION})
     fig, ax = plt.subplots(figsize=(9, 4.8))
     for name in names:
         xs, ys, first = [], [], None
         for p in points:
             if name not in p["metrics"]:
                 continue
-            normalized = p["metrics"][name] / p["metrics"]["calibration"]
+            normalized = p["metrics"][name]
             if first is None:
                 first = normalized
             xs.append(p["number"])
             ys.append(normalized / first)
-        style = "-o" if name.startswith("e2e_") else "--."
+        style = "-o" if name.startswith("BM_WholeRun/") else "--."
         ax.plot(xs, ys, style, label=name, alpha=0.9)
     ax.set_xlabel("BENCH number (PR)")
     ax.set_ylabel("speedup vs first measurement (calibration-normalized)")
@@ -415,8 +418,9 @@ def main() -> int:
     parser.add_argument("--list", action="store_true",
                         help="only list what would be plotted (no matplotlib)")
     parser.add_argument("--perf", action="store_true",
-                        help="inputs are BENCH_<n>.json perf artifacts (or a "
-                             "directory of them); render the perf trajectory")
+                        help="inputs are BENCH_<n>.json bench_micro runs (or "
+                             "a directory of them); render the perf "
+                             "trajectory")
     args = parser.parse_args()
 
     if args.perf:
@@ -428,7 +432,7 @@ def main() -> int:
         if args.list:
             for p in points:
                 print(f"BENCH_{p['number']}: {p['path']} "
-                      f"({len(p['metrics'])} metrics)")
+                      f"({len(p['metrics'])} cases)")
             return 0
         try:
             import matplotlib
