@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Figure 13 — forking attack (32 replicas, byz 0..10)",
-      "CGR = committed blocks / appended blocks (see DESIGN.md metric note);"
+      "CGR = committed blocks / appended blocks (the share no fork "
+      "overwrites);"
       "\nCGRv = committed blocks / views (Eq. 1)");
 
   std::vector<std::uint32_t> byz_counts = {0, 2, 4, 6, 8, 10};

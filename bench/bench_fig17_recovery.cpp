@@ -9,7 +9,8 @@
 //   recovery_ms     heal-to-caught-up latency (RecoveryProbe: time from
 //                   the healing churn event until every lagging honest
 //                   replica has committed up to the height the rest of
-//                   the cluster held at the heal)
+//                   the cluster held at the heal, taken at the commit
+//                   or snapshot install that catches the last one up)
 //   sync_requests / sync_blocks / sync_bytes
 //                   the fetch traffic that recovery cost
 //

@@ -8,7 +8,10 @@
 // the measured axis: it sweeps protocol x transfer mode x outage window
 // and records
 //
-//   recovery_ms       heal-to-caught-up latency (RecoveryProbe, as fig17)
+//   recovery_ms       heal-to-caught-up latency (RecoveryProbe, as fig17:
+//                     taken at the commit or snapshot install that
+//                     catches the laggard up, so a snapshot recovery of
+//                     a few ms reads as such)
 //   snapshot_bytes / snapshot_chunks / snapshots_installed
 //                     the state-transfer traffic the snapshot path cost
 //   sync_requests / sync_blocks

@@ -1,5 +1,5 @@
 // Component microbenchmarks (google-benchmark): the substrate costs that
-// feed the calibration constants in Config and DESIGN.md §5, and whole
+// feed the calibration constants in Config, and whole
 // runs at a small fixed scale. Not a paper figure; kept so regressions in
 // the hot paths are visible. tools/check_perf.py gates a subset of the
 // cases (its GATED list) in CI against the committed BENCH_<n>.json.

@@ -46,11 +46,10 @@
 //                                 "silence attack (crash)")
 //
 // degrade, crash and crash-restart also accept the conditional trigger
-// time '@timeout': the event fires at the FIRST pacemaker timeout
-// observed anywhere in the cluster instead of at a wall-clock instant
-// (checked on a fixed 5 ms cadence, so it stays deterministic). A
-// conditional event is one-shot: combining '@timeout' with every= is
-// rejected.
+// time '@timeout': the event fires at the instant of the FIRST pacemaker
+// timeout of an honest replica anywhere in the cluster instead of at a
+// wall-clock instant. A conditional event is one-shot: combining
+// '@timeout' with every= is rejected.
 //
 // degrade, restore, burst and fluct additionally accept every=<dur>: the
 // event re-fires every <dur> of simulated time until the end of the run

@@ -41,7 +41,8 @@ enum class VerifyStrategy {
 
 /// One experiment's complete configuration: the paper's Table I parameters
 /// plus the simulation-substrate parameters that replace the physical
-/// testbed (see DESIGN.md §1 and §5).
+/// testbed (network and CPU cost constants, the latter timed by
+/// bench/bench_micro.cpp's component cases).
 struct Config {
   // --- Table I -----------------------------------------------------------
   std::uint32_t n_replicas = 4;   ///< "address": number of peers
@@ -53,7 +54,7 @@ struct Config {
   std::uint32_t bsize = 400;         ///< transactions per block
   /// "memsize": transactions held in the memory pool. Table I defaults to
   /// 1000; we default higher so the pool is not the bottleneck at the
-  /// concurrency levels the paper sweeps to (documented in DESIGN.md).
+  /// concurrency levels the paper sweeps to.
   std::uint32_t memsize = 20000;
   std::uint32_t psize = 0;              ///< transaction payload bytes
   sim::Duration delay = 0;              ///< added one-way network delay
@@ -200,7 +201,12 @@ struct Config {
   /// Replicas [n_replicas - byz_no, n_replicas) are Byzantine; replica 0 is
   /// always honest and serves as the metrics observer.
   [[nodiscard]] bool is_byzantine(types::NodeId id) const {
-    return id < n_replicas && id >= n_replicas - byz_no && byz_no > 0;
+    return is_byzantine(id, n_replicas, byz_no);
+  }
+  /// The same rule over bare counts (a persisted record's provenance).
+  [[nodiscard]] static bool is_byzantine(types::NodeId id, std::uint32_t n,
+                                         std::uint32_t byz) {
+    return id < n && id >= n - byz && byz > 0;
   }
 
   /// Validate invariants (byz_no <= f is NOT required — the paper sweeps

@@ -12,7 +12,8 @@ using types::View;
 Replica::Replica(sim::Simulator& simulator, net::SimNetwork& network,
                  const crypto::KeyStore& keys, const Config& config,
                  NodeId id, std::unique_ptr<SafetyProtocol> safety,
-                 const election::LeaderElection& election, Hooks hooks)
+                 const election::LeaderElection& election,
+                 const ReplicaObservers& observers)
     : sim_(simulator),
       net_(network),
       keys_(keys),
@@ -20,7 +21,7 @@ Replica::Replica(sim::Simulator& simulator, net::SimNetwork& network,
       id_(id),
       safety_(std::move(safety)),
       election_(election),
-      hooks_(std::move(hooks)),
+      observers_(observers),
       strategy_(config.is_byzantine(id) ? parse_strategy(config.strategy)
                                         : ByzStrategy::kHonest),
       mempool_(config.memsize, mempool::parse_admission(config.admission)),
@@ -59,6 +60,9 @@ Replica::Replica(sim::Simulator& simulator, net::SimNetwork& network,
                     if (!forest_.install_snapshot(anchor, qc, hashes)) {
                       return false;
                     }
+                    for (ReplicaObserver* o : observers_) {
+                      o->on_snapshot_installed(*this, anchor);
+                    }
                     // Adopt the anchor certificate into protocol state: it is
                     // the freshest QC this replica knows, so processing it
                     // catches the pacemaker (and safety rules) up to the
@@ -89,6 +93,7 @@ void Replica::start() {
 }
 
 void Replica::crash() {
+  if (crashed_) return;
   crashed_ = true;
   pacemaker_.stop();
   syncer_.stop();
@@ -96,6 +101,7 @@ void Replica::crash() {
   // fires (cpu_complete).
   cpu_queue_.clear();
   net_.set_down(id_, true);
+  for (ReplicaObserver* o : observers_) o->on_crash(*this);
 }
 
 ProtocolContext Replica::context() {
@@ -611,15 +617,12 @@ void Replica::do_commit(const crypto::Digest& target) {
         enqueue_cpu(cfg_.store_append_latency, [] {});
       }
     }
-    if (hooks_.on_commit_block) {
-      hooks_.on_commit_block(block, pacemaker_.current_view(), sim_.now());
-    }
+    for (ReplicaObserver* o : observers_) o->on_commit(*this, block);
     for (const types::Transaction& tx : block->txns()) {
       if (tx.serving_replica != id_) continue;
       mempool_.mark_committed(tx.id);
       ++stats_.txs_committed;
       send_client_response(tx, /*rejected=*/false);
-      if (hooks_.on_tx_committed) hooks_.on_tx_committed(tx, sim_.now());
     }
   }
   if (chain->empty()) return;
@@ -666,7 +669,7 @@ void Replica::reload_from_store() {
         [] {});
   }
   if (!best) return;
-  // Commit the recovered prefix directly (no hooks / stats: the pre-crash
+  // Commit the recovered prefix directly (no events / stats: the pre-crash
   // instance already counted these commits and answered their clients).
   forest_.commit(best->hash());
   if (const types::QuorumCert* qc = forest_.qc_for(best->hash())) {
@@ -683,6 +686,7 @@ void Replica::reload_from_store() {
 
 void Replica::broadcast_timeout(View view) {
   if (crashed_) return;
+  for (ReplicaObserver* o : observers_) o->on_timeout(*this, view);
   types::TimeoutMsg msg;
   msg.view = view;
   msg.high_qc = reported_high_qc();
@@ -750,7 +754,7 @@ void Replica::on_tc_msg(const types::TcMsg& m, NodeId) {
 }
 
 void Replica::enter_view(View view, pacemaker::AdvanceReason reason) {
-  if (hooks_.on_enter_view) hooks_.on_enter_view(view);
+  for (ReplicaObserver* o : observers_) o->on_enter_view(*this, view);
   // Garbage collection of per-view state.
   const View gc_horizon = view > 64 ? view - 64 : 0;
   votes_.gc_below(gc_horizon);

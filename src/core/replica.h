@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,6 +26,46 @@
 #include "sync/syncer.h"
 
 namespace bamboo::core {
+
+class Replica;
+
+/// A typed sink for what the replicas of one cluster do. The cluster keeps
+/// one list of observers, attached before it starts, and hands it by
+/// reference to every replica it builds, so a replica rebuilt by a
+/// crash-restart emits into the same list. Each event passes the emitting
+/// replica, where an observer reads its id, committed height, strategy or
+/// simulated time (Replica::now()).
+///
+/// The contract:
+/// - An observer draws no randomness and sends nothing, so attaching one
+///   leaves the run's RunResult unchanged. The one exception is the churn
+///   engine's leader-follow target, which moves its link delay delta
+///   inline on enter-view.
+/// - Work that can destroy a replica (a crash-restart) is scheduled as a
+///   simulator event, never run inside an emission.
+/// - With no observer attached, an emission costs one empty-range check.
+class ReplicaObserver {
+ public:
+  ReplicaObserver() = default;
+  virtual ~ReplicaObserver() = default;
+  ReplicaObserver(const ReplicaObserver&) = delete;
+  ReplicaObserver& operator=(const ReplicaObserver&) = delete;
+
+  /// A block committed: once per block, ascending, with the replica's
+  /// committed height already at the end of the chain that commit made.
+  virtual void on_commit(const Replica&, const types::BlockPtr&) {}
+  /// A snapshot anchored at the block was installed.
+  virtual void on_snapshot_installed(const Replica&, const types::BlockPtr&) {}
+  /// The replica entered the view, before proposing there.
+  virtual void on_enter_view(const Replica&, types::View) {}
+  /// The replica's pacemaker timed the view out.
+  virtual void on_timeout(const Replica&, types::View) {}
+  /// The replica fail-stopped.
+  virtual void on_crash(const Replica&) {}
+};
+
+/// The cluster-wide observer list every replica emits into.
+using ReplicaObservers = std::vector<ReplicaObserver*>;
 
 /// Counters exported by a replica (inputs to the paper's metrics: CGR, BI,
 /// fork counts; plus engine health numbers asserted by tests).
@@ -65,23 +104,13 @@ struct ReplicaStats {
 /// ReplicaStats::certs_rejected.
 class Replica {
  public:
-  struct Hooks {
-    /// A block was committed at this replica (once per block, ascending).
-    std::function<void(const types::BlockPtr&, types::View commit_view,
-                       sim::Time when)>
-        on_commit_block;
-    /// A transaction served by this replica committed.
-    std::function<void(const types::Transaction&, sim::Time when)>
-        on_tx_committed;
-    /// This replica entered a view (before it proposes there). The churn
-    /// engine's leader-follow target hangs off this.
-    std::function<void(types::View)> on_enter_view;
-  };
-
+  /// `observers` is the cluster's list; it must outlive the replica, which
+  /// emits every ReplicaObserver event into it.
   Replica(sim::Simulator& simulator, net::SimNetwork& network,
           const crypto::KeyStore& keys, const Config& config,
           types::NodeId id, std::unique_ptr<SafetyProtocol> safety,
-          const election::LeaderElection& election, Hooks hooks = {});
+          const election::LeaderElection& election,
+          const ReplicaObservers& observers);
 
   /// Cancels the pending events that call back into this replica: the
   /// completions of work in service and the propose waits after a view
@@ -116,6 +145,8 @@ class Replica {
 
   // --- accessors ----------------------------------------------------------
   [[nodiscard]] types::NodeId id() const { return id_; }
+  /// The simulated time (observers stamp their records with it).
+  [[nodiscard]] sim::Time now() const { return sim_.now(); }
   [[nodiscard]] types::View current_view() const {
     return pacemaker_.current_view();
   }
@@ -225,7 +256,7 @@ class Replica {
   types::NodeId id_;
   std::unique_ptr<SafetyProtocol> safety_;
   const election::LeaderElection& election_;
-  Hooks hooks_;
+  const ReplicaObservers& observers_;
   ByzStrategy strategy_ = ByzStrategy::kHonest;
 
   storage::BlockStore* store_ = nullptr;  ///< owned by the Cluster

@@ -13,7 +13,7 @@ using SignerId = std::uint32_t;
 /// A simulated signature: the signer's id plus an HMAC tag over the signed
 /// digest.
 ///
-/// SUBSTITUTION NOTE (see DESIGN.md §1): the paper's Bamboo uses secp256k1.
+/// SUBSTITUTION NOTE: the paper's Bamboo uses secp256k1.
 /// Inside a deterministic simulation, signatures must only be (a) bound to
 /// signer + message and (b) unforgeable by any simulated adversary — HMAC
 /// over a per-node secret derived from a cluster seed provides both, and a

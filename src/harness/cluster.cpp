@@ -16,7 +16,7 @@ namespace {
 /// The "ohs" baseline is HotStuff under the libhotstuff cost profile: the
 /// paper attributes the original implementation's edge to its TCP client
 /// path and batching (no HTTP request handling), which shows up as a lower
-/// per-transaction ingest cost (DESIGN.md §1).
+/// per-transaction ingest cost.
 core::Config apply_protocol_profile(core::Config cfg) {
   if (cfg.protocol == "ohs") {
     cfg.cpu_ingest_per_tx = sim::microseconds(6);
@@ -99,8 +99,7 @@ Cluster::Cluster(core::Config config)
       keys_(cfg_.seed ^ 0x9e3779b97f4a7c15ULL, cfg_.num_endpoints()),
       net_(sim_, cfg_.num_endpoints(), net_config_of(cfg_)),
       election_(election::make_election(cfg_.election, cfg_.n_replicas,
-                                        cfg_.seed)),
-      pending_hooks_(cfg_.n_replicas) {
+                                        cfg_.seed)) {
   cfg_.validate();
 }
 
@@ -112,15 +111,6 @@ Cluster::~Cluster() {
     std::error_code ec;  // best-effort cleanup; never throw from a dtor
     std::filesystem::remove_all(store_dir_, ec);
   }
-}
-
-void Cluster::set_hooks(types::NodeId id, core::Replica::Hooks hooks) {
-  pending_hooks_.at(id) = std::move(hooks);
-}
-
-void Cluster::add_view_listener(
-    std::function<void(types::NodeId, types::View)> listener) {
-  view_listeners_.push_back(std::move(listener));
 }
 
 void Cluster::start() {
@@ -171,19 +161,9 @@ void Cluster::start() {
 }
 
 std::unique_ptr<core::Replica> Cluster::build_replica(types::NodeId id) {
-  core::Replica::Hooks hooks = pending_hooks_[id];  // copy: restarts reuse
-  if (!view_listeners_.empty()) {
-    // Chain the cluster-wide listeners in front of any per-replica hook.
-    auto user = std::move(hooks.on_enter_view);
-    hooks.on_enter_view = [this, id,
-                           user = std::move(user)](types::View view) {
-      for (const auto& listener : view_listeners_) listener(id, view);
-      if (user) user(view);
-    };
-  }
   auto replica = std::make_unique<core::Replica>(
       sim_, net_, keys_, cfg_, id, protocols::make_protocol(cfg_.protocol),
-      *election_, std::move(hooks));
+      *election_, observers_);
   replica->set_store(stores_.at(id).get());
   return replica;
 }

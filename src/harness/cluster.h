@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +24,7 @@ class Cluster {
   explicit Cluster(core::Config config);
   ~Cluster();
 
-  /// Starts every replica (view 1). Call after installing hooks.
+  /// Starts every replica (view 1). Call after attaching observers.
   void start();
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
@@ -51,14 +50,17 @@ class Cluster {
   /// metrics observer.
   [[nodiscard]] core::Replica& observer() { return *replicas_.front(); }
 
-  /// Install commit hooks on one replica. Must be called before start().
-  void set_hooks(types::NodeId id, core::Replica::Hooks hooks);
-
-  /// Register a cluster-wide view-entry listener (any replica entering a
-  /// view fires it, before that replica proposes). Must be called before
-  /// start(); the churn engine's leader-follow target uses this.
-  void add_view_listener(
-      std::function<void(types::NodeId, types::View)> listener);
+  /// Attach an observer to every replica, crash-restart rebuilds included
+  /// (core::ReplicaObserver). Call before start(); it must outlive the run.
+  void attach(core::ReplicaObserver& observer) {
+    observers_.push_back(&observer);
+  }
+  /// The same, with the cluster keeping the observer alive; returns it.
+  template <typename T>
+  T& attach(std::unique_ptr<T> observer) {
+    attach(*observer);
+    return static_cast<T&>(*owned_observers_.emplace_back(std::move(observer)));
+  }
 
   /// Crash a replica (fail-stop) — used by the responsiveness experiment.
   void crash_replica(types::NodeId id) { replicas_.at(id)->crash(); }
@@ -114,9 +116,8 @@ class Cluster {
   [[nodiscard]] std::uint64_t total_timeouts() const;
 
  private:
-  /// Build one replica instance: hooks copied from pending_hooks_ (kept,
-  /// not moved, so restart_replica can rebuild with the same wiring),
-  /// view listeners chained in front, store attached.
+  /// Build one replica instance, emitting into observers_, with its store
+  /// attached.
   [[nodiscard]] std::unique_ptr<core::Replica> build_replica(types::NodeId id);
 
   core::Config cfg_;
@@ -124,9 +125,8 @@ class Cluster {
   crypto::KeyStore keys_;
   net::SimNetwork net_;
   std::unique_ptr<election::LeaderElection> election_;
-  std::vector<core::Replica::Hooks> pending_hooks_;
-  std::vector<std::function<void(types::NodeId, types::View)>>
-      view_listeners_;
+  core::ReplicaObservers observers_;
+  std::vector<std::unique_ptr<core::ReplicaObserver>> owned_observers_;
   std::vector<std::unique_ptr<storage::BlockStore>> stores_;
   std::string store_dir_;       ///< directory holding file-backed stores
   bool owns_store_dir_ = false;  ///< auto-generated dir, removed in dtor

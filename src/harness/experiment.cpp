@@ -65,9 +65,7 @@ DemocracyScalars democracy_scalars(
   for (const auto& [id, count] : counts) {
     total += count;
     if (count > top) top = count;
-    const bool byzantine =
-        byz_no > 0 && id < n_replicas && id >= n_replicas - byz_no;
-    if (!byzantine) honest += count;
+    if (!core::Config::is_byzantine(id, n_replicas, byz_no)) honest += count;
     if (id < n_replicas) dense[id] = count;
   }
   if (total == 0) return s;
@@ -253,15 +251,23 @@ const std::vector<Metric>& run_metrics() {
 
 namespace {
 
-/// Observer-side accumulators for CGR and block intervals.
-struct ObserverState {
+/// The metrics observer: replica 0's commits inside the measurement
+/// window, folded into block intervals and per-proposer commit counts
+/// (the democracy metrics).
+struct MetricsObserver final : core::ReplicaObserver {
   bool measuring = false;
   util::RunningStats block_intervals;
-  std::uint64_t committed_in_window = 0;
-  /// Committed blocks per proposer (democracy metrics). Pure observation
-  /// on the replica-0 commit hook: counting draws no randomness and sends
-  /// nothing, so enabling it never perturbs the schedule.
   std::map<types::NodeId, std::uint64_t> proposer_counts;
+
+  void on_commit(const core::Replica& replica,
+                 const types::BlockPtr& block) override {
+    if (replica.id() != 0 || !measuring) return;
+    ++proposer_counts[block->proposer()];
+    const types::View commit_view = replica.current_view();
+    if (commit_view > block->view()) {
+      block_intervals.add(static_cast<double>(commit_view - block->view()));
+    }
+  }
 };
 
 /// Every window counter's running total at one window edge, plus the
@@ -284,7 +290,7 @@ struct Snapshot {
   }
 };
 
-RunResult finalize(Cluster& cluster, Driver& driver, const ObserverState& obs,
+RunResult finalize(Cluster& cluster, Driver& driver, const MetricsObserver& obs,
                    const Snapshot& before, const Snapshot& after) {
   RunResult r;
   for (const Metric& m : run_metrics()) {
@@ -418,8 +424,8 @@ std::vector<std::pair<types::NodeId, types::NodeId>> target_links(
       }
       break;
     case core::ChurnTarget::kLeaderFollow:
-      // The follow target is resolved dynamically by install_churn's view
-      // listener, never to a static link set (and only degrade/restore
+      // The follow target is resolved dynamically by install_churn's
+      // observer, never to a static link set (and only degrade/restore
       // support it — the DSL parser enforces the same).
       churn_fail(ev, "leader=follow is only valid on degrade/restore");
   }
@@ -467,68 +473,144 @@ std::vector<int> partition_of(const core::ChurnEvent& ev,
   return group;
 }
 
-// --- recovery probe --------------------------------------------------------
+// --- the churn engine's state and observer ---------------------------------
 
-struct RecoveryPoll {
-  types::Height target = 0;
-  std::vector<types::NodeId> lagging;
-  std::size_t event_index = 0;
-  bool any_caught_up = false;
-};
+/// What one schedule's events share, and their observer on the replica
+/// seam. The cluster owns it; the event closures hold a pointer.
+struct ChurnState final : core::ReplicaObserver {
+  // Overlapping windows: a window's end must not clobber another window
+  // still open on the same knob (the latest-started open window wins,
+  // matching the overwrite order of the start callbacks). Keyed by a
+  // per-install monotonically increasing window id.
+  struct FluctWindow {
+    int id;
+    sim::Duration lo, hi;
+  };
+  struct BurstEntry {
+    int id;
+    double loss;
+  };
+  /// An open recovery event: the height its laggards must reach.
+  struct Recovery {
+    std::size_t event = 0;  ///< index into probe->events
+    types::Height target = 0;
+    std::vector<types::NodeId> lagging;
+    bool any_caught_up = false;
+  };
+  /// One leader-follow degradation.
+  struct Follow {
+    bool active = false;
+    double applied_ns = 0;      ///< outbound delta currently on `current`
+    types::NodeId current = 0;  ///< leader carrying the degradation
+  };
 
-/// Fixed observation cadence; draws no RNG and sends nothing.
-constexpr sim::Duration kRecoveryPollPeriod = sim::milliseconds(5);
+  ChurnState(Cluster& c, RecoveryProbe* p) : cluster(c), probe(p) {}
 
-void poll_recovery(Cluster& cluster, RecoveryProbe& probe,
-                   const std::shared_ptr<RecoveryPoll>& poll) {
-  std::erase_if(poll->lagging, [&](types::NodeId id) {
-    const core::Replica& r = cluster.replica(id);
-    if (r.crashed()) return true;  // can never catch up: drop it
-    if (r.forest().committed_height() >= poll->target) {
-      poll->any_caught_up = true;
+  Cluster& cluster;
+  RecoveryProbe* probe;
+  std::vector<FluctWindow> fluct;  // open fluct windows, start order
+  // Open burst windows per directed link, start order.
+  std::map<std::pair<types::NodeId, types::NodeId>, std::vector<BurstEntry>>
+      burst;
+  int next_window = 0;
+  std::vector<Recovery> recoveries;
+  /// '@timeout' events, fired at the first timeout of an honest replica.
+  std::vector<std::function<void()>> on_first_timeout;
+  std::vector<Follow> follows;
+  types::View max_view = 1;  ///< highest view entered cluster-wide
+
+  /// A healing moment: open a recovery event when honest live replicas
+  /// lag the highest committed height among them.
+  void heal() {
+    if (probe == nullptr) return;
+    Recovery open;
+    std::vector<std::pair<types::NodeId, types::Height>> live;
+    for (types::NodeId id = 0; id < cluster.size(); ++id) {
+      const core::Replica& r = cluster.replica(id);
+      if (r.is_byzantine() || r.crashed()) continue;
+      live.emplace_back(id, r.forest().committed_height());
+      open.target = std::max(open.target, live.back().second);
+    }
+    for (const auto& [id, height] : live) {
+      if (height < open.target) open.lagging.push_back(id);
+    }
+    if (open.lagging.empty()) return;
+    open.event = probe->events.size();
+    probe->events.push_back({sim::to_seconds(cluster.simulator().now()), -1});
+    recoveries.push_back(std::move(open));
+  }
+
+  /// `replica` reached a target (`progress`) or crashed: take it off those
+  /// events' laggards, closing the events it was the last laggard of.
+  void settle(const core::Replica& replica, bool progress) {
+    const types::Height height = replica.forest().committed_height();
+    std::erase_if(recoveries, [&](Recovery& ev) {
+      if (progress && height < ev.target) return false;
+      if (std::erase(ev.lagging, replica.id()) == 0) return false;
+      ev.any_caught_up = ev.any_caught_up || progress;
+      if (!ev.lagging.empty()) return false;
+      // If the list emptied only through crashes, nothing recovered —
+      // recording "recovered now" would skew recovery_ms downward.
+      RecoveryProbe::Event& out = probe->events[ev.event];
+      out.abandoned = !ev.any_caught_up;
+      if (ev.any_caught_up) out.recovered_at_s = sim::to_seconds(replica.now());
       return true;
-    }
-    return false;
-  });
-  if (poll->lagging.empty()) {
-    // If the list emptied only through crashes, nothing recovered —
-    // recording "recovered now" would skew recovery_ms downward.
-    if (poll->any_caught_up) {
-      probe.events[poll->event_index].recovered_at_s =
-          sim::to_seconds(cluster.simulator().now());
-    } else {
-      probe.events[poll->event_index].abandoned = true;
-    }
-    return;
+    });
   }
-  cluster.simulator().schedule_after(kRecoveryPollPeriod, [&cluster, &probe,
-                                                          poll] {
-    poll_recovery(cluster, probe, poll);
-  });
-}
 
-/// Sample the cluster at a healing moment; if any honest live replica lags
-/// the max committed height, record an event and poll until it caught up.
-void arm_recovery_probe(Cluster& cluster, RecoveryProbe& probe) {
-  auto poll = std::make_shared<RecoveryPoll>();
-  for (types::NodeId id = 0; id < cluster.size(); ++id) {
-    const core::Replica& r = cluster.replica(id);
-    if (r.is_byzantine() || r.crashed()) continue;
-    poll->target = std::max(poll->target, r.forest().committed_height());
-  }
-  for (types::NodeId id = 0; id < cluster.size(); ++id) {
-    const core::Replica& r = cluster.replica(id);
-    if (r.is_byzantine() || r.crashed()) continue;
-    if (r.forest().committed_height() < poll->target) {
-      poll->lagging.push_back(id);
+  /// Add `delta_ns` to every outbound link of `from`.
+  void shift(types::NodeId from, double delta_ns) {
+    const std::uint32_t n = cluster.config().num_endpoints();
+    for (types::NodeId to = 0; to < n; ++to) {
+      if (to != from) cluster.network().degrade_link(from, to, delta_ns);
     }
   }
-  if (poll->lagging.empty()) return;
-  probe.events.push_back(
-      RecoveryProbe::Event{sim::to_seconds(cluster.simulator().now()), -1});
-  poll->event_index = probe.events.size() - 1;
-  poll_recovery(cluster, probe, poll);
-}
+
+  /// Stop every leader-follow degradation, lifting exactly the delta it
+  /// applied (not a full baseline reset — concurrent mutations like an
+  /// open loss burst on the carrier's links must survive).
+  void stop_follows() {
+    for (Follow& fs : follows) {
+      if (!fs.active) continue;
+      shift(fs.current, -fs.applied_ns);
+      fs.active = false;
+      fs.applied_ns = 0;
+    }
+  }
+
+  void on_commit(const core::Replica& r, const types::BlockPtr&) override {
+    settle(r, /*progress=*/true);
+  }
+  void on_snapshot_installed(const core::Replica& r,
+                             const types::BlockPtr&) override {
+    settle(r, /*progress=*/true);
+  }
+  void on_crash(const core::Replica& r) override {
+    settle(r, /*progress=*/false);
+  }
+  /// Each fire is scheduled at this instant, never run inside the
+  /// emission: a crash-restart would destroy the replica calling out.
+  void on_timeout(const core::Replica& r, types::View) override {
+    if (on_first_timeout.empty() || r.is_byzantine()) return;
+    for (std::function<void()>& fire : on_first_timeout) {
+      cluster.simulator().schedule_after(0, std::move(fire));
+    }
+    on_first_timeout.clear();
+  }
+  /// Move every active leader-follow delta onto the new view's leader,
+  /// inline: the one mutation an observer makes.
+  void on_enter_view(const core::Replica&, types::View view) override {
+    if (follows.empty() || view <= max_view) return;
+    max_view = view;
+    const types::NodeId leader = cluster.election().leader(view);
+    for (Follow& fs : follows) {
+      if (!fs.active || fs.current == leader) continue;
+      shift(fs.current, -fs.applied_ns);
+      shift(leader, fs.applied_ns);
+      fs.current = leader;
+    }
+  }
+};
 
 // --- repeating events ------------------------------------------------------
 
@@ -574,86 +656,23 @@ core::ChurnSchedule effective_churn(const FaultPlan& faults,
 
 void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
                    RecoveryProbe* probe) {
+  if (schedule.empty()) return;
   auto& simulator = cluster.simulator();
   const core::Config& cfg = cluster.config();
-
-  // Overlapping-window bookkeeping, shared by this schedule's callbacks:
-  // a window's end must not clobber another window that is still open on
-  // the same knob (the latest-started open window wins, matching the
-  // overwrite order of the start callbacks). Keyed by a per-install
-  // monotonically increasing window id.
-  struct FluctWindow {
-    int id;
-    sim::Duration lo, hi;
-  };
-  struct BurstEntry {
-    int id;
-    double loss;
-  };
-  // One leader-follow degradation: the accumulated outbound delay delta
-  // moves with the rotating leader via the cluster view listener.
-  struct FollowState {
-    bool active = false;
-    double applied_ns = 0;       ///< outbound delta currently on `current`
-    types::NodeId current = 0;   ///< leader carrying the degradation
-  };
-  struct ActiveWindows {
-    std::vector<FluctWindow> fluct;  // open fluct windows, start order
-    // Open burst windows per directed link, start order.
-    std::map<std::pair<types::NodeId, types::NodeId>,
-             std::vector<BurstEntry>> burst;
-    int next_window = 0;
-    std::vector<std::shared_ptr<FollowState>> follows;
-    types::View max_view = 1;  ///< highest view entered cluster-wide
-  };
-  auto active = std::make_shared<ActiveWindows>();
-
-  // Stop every leader-follow degradation, lifting exactly the delta it
-  // applied (not a full baseline reset — concurrent mutations like an
-  // open loss burst on the carrier's links must survive).
-  const auto deactivate_follows = [&cluster, active] {
-    for (const auto& fs : active->follows) {
-      if (!fs->active) continue;
-      const std::uint32_t n = cluster.config().num_endpoints();
-      for (types::NodeId to = 0; to < n; ++to) {
-        if (to != fs->current) {
-          cluster.network().degrade_link(fs->current, to, -fs->applied_ns);
-        }
-      }
-      fs->active = false;
-      fs->applied_ns = 0;
-    }
-  };
-
-  bool follow_used = false;
+  ChurnState* const state =
+      &cluster.attach(std::make_unique<ChurnState>(cluster, probe));
 
   for (const core::ChurnEvent& ev : schedule) {
     const sim::Time at = sim::from_seconds(ev.at_s);
-    // One-shot events keep the pre-repetition scheduling shape (events
-    // inserted at install time); every=<dur> events self-reschedule.
-    // '@timeout' events poll the cluster-wide pacemaker-timeout count on
-    // the fixed recovery-probe cadence and fire ONCE at the first observed
-    // timeout — pure observation until then, so an armed trigger that
-    // never trips perturbs nothing.
-    const auto fire_at = [&simulator, &cluster, at,
-                          &ev](std::function<void()> fire) {
+    // One-shot events are scheduled at install time; every=<dur> events
+    // self-reschedule. '@timeout' events (whose at_s is 0) wait for the
+    // first timeout of an honest replica, which the observer sees without
+    // drawing or sending anything — so an armed trigger that never trips
+    // perturbs nothing.
+    const auto fire_at = [&](std::function<void()> fire) {
       if (ev.on_timeout) {
-        // The pending poll event owns the closure; the closure itself holds
-        // only a weak reference, so no cycle outlives the run.
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&simulator, &cluster, self = std::weak_ptr(tick),
-                 fire = std::move(fire)] {
-          if (cluster.total_timeouts() > 0) {
-            fire();
-            return;  // one-shot: stop polling
-          }
-          simulator.schedule_after(kRecoveryPollPeriod,
-                                   [tick = self.lock()] { (*tick)(); });
-        };
-        simulator.schedule_at(at, [tick] { (*tick)(); });
-        return;
-      }
-      if (ev.every_s <= 0) {
+        state->on_first_timeout.push_back(std::move(fire));
+      } else if (ev.every_s <= 0) {
         simulator.schedule_at(at, std::move(fire));
       } else {
         schedule_repeating(
@@ -665,23 +684,18 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
     switch (ev.kind) {
       case core::ChurnKind::kLinkDegrade: {
         if (ev.target == core::ChurnTarget::kLeaderFollow) {
-          auto fs = std::make_shared<FollowState>();
-          active->follows.push_back(fs);
-          follow_used = true;
+          const std::size_t k = state->follows.size();
+          state->follows.emplace_back();
           const double extra_ns =
               ev.extra_ms * static_cast<double>(sim::kMillisecond);
-          fire_at([&cluster, active, fs, extra_ns] {
-            if (!fs->active) {
-              fs->active = true;
-              fs->current = cluster.election().leader(active->max_view);
+          fire_at([state, k, extra_ns] {
+            ChurnState::Follow& fs = state->follows[k];
+            if (!fs.active) {
+              fs.active = true;
+              fs.current = state->cluster.election().leader(state->max_view);
             }
-            fs->applied_ns += extra_ns;
-            const std::uint32_t n = cluster.config().num_endpoints();
-            for (types::NodeId to = 0; to < n; ++to) {
-              if (to != fs->current) {
-                cluster.network().degrade_link(fs->current, to, extra_ns);
-              }
-            }
+            fs.applied_ns += extra_ns;
+            state->shift(fs.current, extra_ns);
           });
           break;
         }
@@ -696,41 +710,36 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
         break;
       }
       case core::ChurnKind::kLinkRestore: {
-        if (ev.target == core::ChurnTarget::kLeaderFollow) {
-          fire_at([&cluster, deactivate_follows, probe] {
-            deactivate_follows();
-            if (probe) arm_recovery_probe(cluster, *probe);
-          });
-          break;
-        }
-        if (ev.target == core::ChurnTarget::kAll) {
-          fire_at([&cluster, deactivate_follows, probe] {
+        if (ev.target == core::ChurnTarget::kLeaderFollow ||
+            ev.target == core::ChurnTarget::kAll) {
+          const bool all = ev.target == core::ChurnTarget::kAll;
+          fire_at([&cluster, state, all] {
             // A full reset also stops any leader-following degradation —
-            // otherwise the listener would keep moving a delta that the
+            // otherwise the observer would keep moving a delta that the
             // reset just wiped.
-            deactivate_follows();
-            cluster.network().restore_all_links();
-            if (probe) arm_recovery_probe(cluster, *probe);
+            state->stop_follows();
+            if (all) cluster.network().restore_all_links();
+            state->heal();
           });
           break;
         }
         auto pairs = target_links(ev, cfg);
-        fire_at([&cluster, active, pairs = std::move(pairs), probe] {
+        fire_at([&cluster, state, pairs = std::move(pairs)] {
           for (const auto& [from, to] : pairs) {
             cluster.network().restore_link(from, to);
           }
           // A targeted restore that reset an active follow-carrier's
           // outbound link wiped the follow delta with it: re-impose it,
           // so the later rotation subtraction still lands at baseline.
-          for (const auto& fs : active->follows) {
-            if (!fs->active) continue;
+          for (const ChurnState::Follow& fs : state->follows) {
+            if (!fs.active) continue;
             for (const auto& [from, to] : pairs) {
-              if (from == fs->current && to != fs->current) {
-                cluster.network().degrade_link(from, to, fs->applied_ns);
+              if (from == fs.current && to != fs.current) {
+                cluster.network().degrade_link(from, to, fs.applied_ns);
               }
             }
           }
-          if (probe) arm_recovery_probe(cluster, *probe);
+          state->heal();
         });
         break;
       }
@@ -742,28 +751,29 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
         break;
       }
       case core::ChurnKind::kPartitionHeal:
-        simulator.schedule_at(at, [&cluster, probe] {
+        simulator.schedule_at(at, [&cluster, state] {
           cluster.network().set_partition({});
-          if (probe) arm_recovery_probe(cluster, *probe);
+          state->heal();
         });
         break;
       case core::ChurnKind::kLossBurst: {
         auto pairs = target_links(ev, cfg);
         const double loss = ev.loss;
-        const auto begin_burst = [&cluster, active, loss](
-                                     const auto& links, int id) {
+        const auto begin_burst = [&cluster, state, loss](const auto& links,
+                                                         int id) {
           for (const auto& [from, to] : links) {
-            active->burst[{from, to}].push_back(BurstEntry{id, loss});
+            state->burst[{from, to}].push_back(
+                ChurnState::BurstEntry{id, loss});
             cluster.network().set_link_loss(from, to, loss);
           }
         };
-        const auto end_burst = [&cluster, active, probe](const auto& links,
-                                                         int id) {
+        const auto end_burst = [&cluster, state](const auto& links, int id) {
           bool healed = false;
           for (const auto& [from, to] : links) {
-            auto& open = active->burst[{from, to}];
-            std::erase_if(open,
-                          [id](const BurstEntry& e) { return e.id == id; });
+            auto& open = state->burst[{from, to}];
+            std::erase_if(open, [id](const ChurnState::BurstEntry& e) {
+              return e.id == id;
+            });
             if (open.empty()) {
               cluster.network().restore_link_loss(from, to);
               healed = true;
@@ -776,10 +786,10 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
           // Only a burst end that actually returned a link to baseline is
           // a healing moment; the end of a window nested inside a wider
           // one changes nothing and must not arm the probe.
-          if (healed && probe) arm_recovery_probe(cluster, *probe);
+          if (healed) state->heal();
         };
         if (ev.every_s <= 0) {
-          const int id = active->next_window++;
+          const int id = state->next_window++;
           simulator.schedule_at(at, [begin_burst, pairs, id] {
             begin_burst(pairs, id);
           });
@@ -791,9 +801,9 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
           // Each occurrence opens its own window and schedules its own
           // end relative to the fire time.
           const sim::Duration window = sim::from_seconds(ev.for_s);
-          fire_at([&simulator, active, begin_burst, end_burst,
+          fire_at([&simulator, state, begin_burst, end_burst,
                    pairs = std::move(pairs), window] {
-            const int id = active->next_window++;
+            const int id = state->next_window++;
             begin_burst(pairs, id);
             simulator.schedule_after(window, [end_burst, pairs, id] {
               end_burst(pairs, id);
@@ -805,29 +815,30 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
       case core::ChurnKind::kFluctuation: {
         const sim::Duration lo = sim::from_milliseconds(ev.lo_ms);
         const sim::Duration hi = sim::from_milliseconds(ev.hi_ms);
-        const auto begin_fluct = [&cluster, active, lo, hi](int id) {
-          active->fluct.push_back(FluctWindow{id, lo, hi});
+        const auto begin_fluct = [&cluster, state, lo, hi](int id) {
+          state->fluct.push_back(ChurnState::FluctWindow{id, lo, hi});
           cluster.network().set_fluctuation(lo, hi);
         };
-        const auto end_fluct = [&cluster, active](int id) {
-          std::erase_if(active->fluct,
-                        [id](const FluctWindow& w) { return w.id == id; });
-          if (active->fluct.empty()) {
+        const auto end_fluct = [&cluster, state](int id) {
+          std::erase_if(state->fluct, [id](const ChurnState::FluctWindow& w) {
+            return w.id == id;
+          });
+          if (state->fluct.empty()) {
             cluster.network().set_fluctuation(0, 0);
           } else {
-            const FluctWindow& w = active->fluct.back();
+            const ChurnState::FluctWindow& w = state->fluct.back();
             cluster.network().set_fluctuation(w.lo, w.hi);
           }
         };
         if (ev.every_s <= 0) {
-          const int id = active->next_window++;
+          const int id = state->next_window++;
           simulator.schedule_at(at, [begin_fluct, id] { begin_fluct(id); });
           simulator.schedule_at(sim::from_seconds(ev.at_s + ev.for_s),
                                 [end_fluct, id] { end_fluct(id); });
         } else {
           const sim::Duration window = sim::from_seconds(ev.for_s);
-          fire_at([&simulator, active, begin_fluct, end_fluct, window] {
-            const int id = active->next_window++;
+          fire_at([&simulator, state, begin_fluct, end_fluct, window] {
+            const int id = state->next_window++;
             begin_fluct(id);
             simulator.schedule_after(window,
                                      [end_fluct, id] { end_fluct(id); });
@@ -865,67 +876,29 @@ void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
         }
         const types::NodeId victim = ev.a;
         const sim::Duration downtime = sim::from_seconds(ev.for_s);
-        fire_at([&simulator, &cluster, victim, downtime, probe] {
+        fire_at([&simulator, &cluster, victim, downtime, state] {
           cluster.crash_replica(victim);
-          simulator.schedule_after(downtime, [&cluster, victim, probe] {
+          simulator.schedule_after(downtime, [&cluster, victim, state] {
             cluster.restart_replica(victim);
             // The rebuilt replica rejoins at its recovered height; the
             // probe measures how long it lags the rest of the cluster.
-            if (probe) arm_recovery_probe(cluster, *probe);
+            state->heal();
           });
         });
         break;
       }
     }
   }
-
-  if (follow_used) {
-    // The view listener both tracks the cluster-wide max view and moves
-    // every active follow-degradation onto the new view's leader.
-    cluster.add_view_listener([&cluster, active](types::NodeId,
-                                                 types::View view) {
-      if (view <= active->max_view) return;
-      active->max_view = view;
-      const types::NodeId leader = cluster.election().leader(view);
-      for (const auto& fs : active->follows) {
-        if (!fs->active || fs->current == leader) continue;
-        const std::uint32_t n = cluster.config().num_endpoints();
-        for (types::NodeId to = 0; to < n; ++to) {
-          if (to != fs->current) {
-            cluster.network().degrade_link(fs->current, to, -fs->applied_ns);
-          }
-        }
-        for (types::NodeId to = 0; to < n; ++to) {
-          if (to != leader) {
-            cluster.network().degrade_link(leader, to, fs->applied_ns);
-          }
-        }
-        fs->current = leader;
-      }
-    });
-  }
 }
 
-RunOutput execute_full(const RunSpec& spec) {
-  // Declared before the cluster so the simulator's pending probe events
-  // (which hold a reference) never outlive it.
+RunOutput execute_full(const RunSpec& spec, core::ReplicaObserver* observer) {
+  // Declared before the cluster, whose observers write into them.
   RecoveryProbe probe;
+  MetricsObserver metrics;
+  metrics.measuring = spec.measure_whole_run;
   Cluster cluster(spec.cfg);
-  auto obs = std::make_shared<ObserverState>();
-  obs->measuring = spec.measure_whole_run;
-
-  core::Replica::Hooks hooks;
-  hooks.on_commit_block = [obs](const types::BlockPtr& block,
-                                types::View commit_view, sim::Time) {
-    if (!obs->measuring) return;
-    ++obs->committed_in_window;
-    ++obs->proposer_counts[block->proposer()];
-    if (commit_view > block->view()) {
-      obs->block_intervals.add(
-          static_cast<double>(commit_view - block->view()));
-    }
-  };
-  cluster.set_hooks(0, std::move(hooks));
+  cluster.attach(metrics);
+  if (observer != nullptr) cluster.attach(*observer);
 
   client::WorkloadDriver driver(cluster.simulator(), cluster.network(),
                                 cluster.config(),
@@ -954,18 +927,18 @@ RunOutput execute_full(const RunSpec& spec) {
     cluster.simulator().run_for(sim::from_seconds(spec.opts.warmup_s));
     before = Snapshot::of(cluster, driver);
     driver.begin_measurement();
-    obs->measuring = true;
+    metrics.measuring = true;
   }
 
   cluster.simulator().run_for(sim::from_seconds(spec.opts.measure_s));
-  obs->measuring = false;
+  metrics.measuring = false;
   driver.end_measurement();
   const Snapshot after = Snapshot::of(cluster, driver);
   driver.stop();
 
   RunOutput out;
   out.events_executed = cluster.simulator().events_executed();
-  out.result = finalize(cluster, driver, *obs, before, after);
+  out.result = finalize(cluster, driver, metrics, before, after);
   out.result.recovery_ms =
       probe.mean_ms(sim::to_seconds(cluster.simulator().now()));
   if (timeline) {

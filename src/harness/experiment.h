@@ -33,8 +33,8 @@ struct RunResult {
   double latency_ms_p99 = 0;
   /// Committed blocks per elapsed view (Eq. 1 read literally).
   double cgr_per_view = 0;
-  /// Committed blocks per block appended to the chain (the reading that
-  /// matches the Fig. 13/14 narratives; DESIGN.md §1).
+  /// Committed blocks per block appended to the chain: the share no fork
+  /// overwrites, the reading the paper's Fig. 13/14 narratives match.
   double cgr_per_block = 0;
   /// Mean views from a block's proposal to its commitment (Eq. 2).
   double block_interval = 0;
@@ -112,8 +112,8 @@ struct RunResult {
   /// bit-identical to the unsharded fold). Empty = nothing committed.
   std::string commit_share;
   /// Chain quality: the fraction of committed blocks proposed by honest
-  /// replicas (the Byzantine set is the top byz_no ids, like
-  /// core::Config::is_byzantine). 0 when nothing committed.
+  /// replicas (core::Config::is_byzantine's set). 0 when nothing
+  /// committed.
   double chain_quality = 0;
   /// The largest single replica's share of committed blocks.
   double commit_share_max = 0;
@@ -225,14 +225,14 @@ struct FaultPlan {
     const FaultPlan& faults, const core::Config& cfg);
 
 /// Heal-to-caught-up measurement, armed by install_churn at every
-/// "healing" churn moment: a partition heal, a link restore, or the end
-/// of a loss-burst window. At that instant the probe samples the max
-/// committed height across honest live replicas; replicas below it are
-/// lagging, and the event's recovery latency is the time from the heal
-/// until every laggard has committed up to that height (laggards that
-/// crash are dropped). Polling is pure observation at a fixed 5 ms
-/// cadence — it draws no randomness and sends no messages, so arming the
-/// probe never perturbs the run. Heals with no laggards record nothing.
+/// "healing" churn moment: a partition heal, a link restore, the end of a
+/// loss-burst window, or a crash-restart's rebuild. At that instant the
+/// probe samples the max committed height across honest live replicas;
+/// replicas below it are lagging, and the event's recovery latency is the
+/// time from the heal to the commit or snapshot install that brings the
+/// last laggard up to that height (a laggard that crashes is dropped).
+/// It observes the replicas (core::ReplicaObserver), so arming it never
+/// perturbs the run. Heals with no laggards record nothing.
 struct RecoveryProbe {
   struct Event {
     double heal_at_s = 0;
@@ -251,9 +251,10 @@ struct RecoveryProbe {
 /// Schedule every churn event of `schedule` on the cluster's simulator
 /// (call before Cluster::start()). Endpoint/replica ids are range-checked
 /// against the cluster's configuration here — std::invalid_argument names
-/// the offending event. A non-null `probe` must outlive the simulation;
-/// it accumulates one RecoveryProbe::Event per healing moment that found
-/// lagging replicas. Exposed for tests; execute() calls it.
+/// the offending event. A non-empty schedule attaches one observer. A
+/// non-null `probe` must outlive the simulation; it accumulates one
+/// RecoveryProbe::Event per healing moment that found lagging replicas.
+/// Exposed for tests; execute() calls it.
 void install_churn(Cluster& cluster, const core::ChurnSchedule& schedule,
                    RecoveryProbe* probe = nullptr);
 
@@ -302,7 +303,9 @@ struct RunOutput {
   /// equality and the report schema are untouched.
   std::uint64_t events_executed = 0;
 };
-RunOutput execute_full(const RunSpec& spec);
+/// A non-null `observer` also watches the run's replicas.
+RunOutput execute_full(const RunSpec& spec,
+                       core::ReplicaObserver* observer = nullptr);
 
 /// Build the specs for a closed-loop concurrency ladder (one spec per
 /// level) — feed these to execute() or a ParallelRunner.

@@ -64,7 +64,7 @@ struct Envelope {
 };
 
 /// Simulated message-passing transport (replaces Bamboo's Paxi-derived
-/// TCP/Go-channel network; DESIGN.md §1). Per endpoint it models a
+/// TCP/Go-channel network). Per endpoint it models a
 /// single-server egress queue and ingress queue at NIC bandwidth — giving
 /// t_NIC = 2m/b exactly as in the paper's model — plus a per-message
 /// one-way link delay and loss drawn from the per-ordered-pair LinkMatrix

@@ -67,7 +67,8 @@ std::optional<crypto::Digest> HotStuff::commit_target(
   // crashed replica at N=4 suppresses every fourth QC, so three
   // consecutively-certified views never occur and the contiguous rule
   // commits nothing — which would contradict the paper's own Fig. 15
-  // (HotStuff progressing under the crashed node). See EXPERIMENTS.md.
+  // (HotStuff progressing under the crashed node), which
+  // LivenessResume.AfterLeaderCrash in tests/test_liveness.cpp holds.
   const BlockPtr b1 = ctx.forest.get(qc.block_hash);
   if (!b1 || !b1->justify_is_parent()) return std::nullopt;
   const BlockPtr b2 = ctx.forest.get(b1->parent_hash());

@@ -703,8 +703,9 @@ TEST(ChurnEngine, CrashEventMatchesClusterCrash) {
 
 TEST(ChurnEngine, TimeoutTriggerIsPureObservationUntilItFires) {
   // A healthy 4-replica run under the 100 ms view timer sees no pacemaker
-  // timeouts, so an armed '@timeout' crash never fires — and the poll is
-  // pure observation, so the run is bit-identical to the unarmed baseline.
+  // timeouts, so an armed '@timeout' crash never fires — and its trigger
+  // is an observer that draws and sends nothing, so the run is
+  // bit-identical to the unarmed baseline.
   const auto baseline = harness::execute(churn_spec(""));
   ASSERT_EQ(baseline.timeouts, 0u);
   const auto armed = harness::execute(churn_spec("crash@timeout:replica=3"));

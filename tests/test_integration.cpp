@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -28,22 +27,27 @@ struct RunOutcome {
   std::uint64_t client_completed = 0;
 };
 
+/// Counts transactions that replica 0 commits more than once.
+struct DuplicateCommits final : core::ReplicaObserver {
+  std::set<types::TxId> seen;
+  std::uint64_t count = 0;
+  void on_commit(const core::Replica& replica,
+                 const types::BlockPtr& block) override {
+    if (replica.id() != 0) return;
+    for (const auto& tx : block->txns()) {
+      if (!seen.insert(tx.id).second) ++count;
+    }
+  }
+};
+
 /// Run a cluster under closed-loop load for `sim_s` simulated seconds and
 /// collect the invariant-relevant outcomes.
 RunOutcome run_cluster(core::Config cfg, double sim_s = 1.0,
                        std::uint32_t concurrency = 64) {
   harness::Cluster cluster(std::move(cfg));
 
-  auto seen_txs = std::make_shared<std::set<types::TxId>>();
-  auto dups = std::make_shared<std::uint64_t>(0);
-  core::Replica::Hooks hooks;
-  hooks.on_commit_block = [seen_txs, dups](const types::BlockPtr& block,
-                                           types::View, sim::Time) {
-    for (const auto& tx : block->txns()) {
-      if (!seen_txs->insert(tx.id).second) ++(*dups);
-    }
-  };
-  cluster.set_hooks(0, std::move(hooks));
+  DuplicateCommits dups;
+  cluster.attach(dups);
 
   client::WorkloadConfig wl;
   wl.mode = client::LoadMode::kClosedLoop;
@@ -60,7 +64,7 @@ RunOutcome run_cluster(core::Config cfg, double sim_s = 1.0,
   out.consistency = cluster.check_consistency();
   out.observer_committed_blocks = cluster.observer().stats().blocks_committed;
   out.observer_forked_blocks = cluster.observer().stats().blocks_forked;
-  out.duplicate_tx_commits = *dups;
+  out.duplicate_tx_commits = dups.count;
   out.timeouts = cluster.total_timeouts();
   out.client_completed = driver.stats().completed;
   for (types::NodeId id = 0; id < cluster.size(); ++id) {

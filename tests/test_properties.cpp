@@ -23,19 +23,24 @@ struct Invariants {
   std::uint64_t completed = 0;
 };
 
+/// Counts transactions that replica 0 commits more than once.
+struct DuplicateCommits final : core::ReplicaObserver {
+  std::set<types::TxId> seen;
+  std::uint64_t count = 0;
+  void on_commit(const core::Replica& replica,
+                 const types::BlockPtr& block) override {
+    if (replica.id() != 0) return;
+    for (const auto& tx : block->txns()) {
+      if (!seen.insert(tx.id).second) ++count;
+    }
+  }
+};
+
 Invariants run(core::Config cfg, double sim_s = 0.6,
                std::uint32_t concurrency = 48) {
   harness::Cluster cluster(std::move(cfg));
-  auto seen = std::make_shared<std::set<types::TxId>>();
-  auto dups = std::make_shared<std::uint64_t>(0);
-  core::Replica::Hooks hooks;
-  hooks.on_commit_block = [seen, dups](const types::BlockPtr& b, types::View,
-                                       sim::Time) {
-    for (const auto& tx : b->txns()) {
-      if (!seen->insert(tx.id).second) ++(*dups);
-    }
-  };
-  cluster.set_hooks(0, std::move(hooks));
+  DuplicateCommits dups;
+  cluster.attach(dups);
 
   client::WorkloadConfig wl;
   wl.concurrency = concurrency;
@@ -49,7 +54,7 @@ Invariants run(core::Config cfg, double sim_s = 0.6,
 
   Invariants inv;
   inv.consistent = cluster.check_consistency().consistent;
-  inv.duplicate_commits = *dups;
+  inv.duplicate_commits = dups.count;
   inv.committed_blocks = cluster.observer().stats().blocks_committed;
   inv.completed = driver.stats().completed;
   for (types::NodeId id = 0; id < cluster.size(); ++id) {

@@ -20,6 +20,10 @@
    schema table (docs/ARCHITECTURE.md) must equal the header line of the
    golden CSV fixture, in order; a row marked "(each + `_ci95`)" also
    lists each name's `_ci95` column right after it.
+7. Every `*.md` name a comment or string cites in a source file under
+   src/, bench/, tests/ or examples/ must resolve from the repo root or
+   from docs/ — catches code that points its reader at a doc that does
+   not exist.
 
 Usage: check_docs.py [repo-root]   (default: the parent of this script)
 """
@@ -55,11 +59,18 @@ SCHEMA_HEADING = "### The Record column schema (authoritative)"
 SCHEMA_GOLDEN = "tests/golden/report.csv"
 CI_NOTE = "(each + `_ci95`)"
 
+# Source trees whose comments and strings may cite docs (rule 7), and
+# the directories a cited name may resolve from.
+CODE_DIRS = ("src", "bench", "tests", "examples")
+CODE_EXTS = (".h", ".cpp", ".py", ".sh")
+DOC_BASES = ("", "docs")
+
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_REF_RE = re.compile(r"\b(bench_[a-z0-9_]+)\b")
 RECIPE_RE = re.compile(r"(?:^|[\s./])build/(bench_[a-z0-9_]+)(\s[^\n]*)?$")
 FLAG_RE = re.compile(r"(--[a-z_-]+)")
 CODE_NAME_RE = re.compile(r"`([A-Za-z0-9_]+)`")
+MD_CITE_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
 
 
 def md_files(root):
@@ -239,6 +250,30 @@ def check_schema_doc(root):
     return errors
 
 
+def check_code_doc_citations(root):
+    errors = []
+    for top in CODE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
+            for name in sorted(filenames):
+                if not name.endswith(CODE_EXTS):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root)
+                with open(path, encoding="utf-8") as f:
+                    for lineno, line in enumerate(f, 1):
+                        for cited in MD_CITE_RE.findall(line):
+                            if not any(
+                                os.path.isfile(os.path.join(root, base, cited))
+                                for base in DOC_BASES
+                            ):
+                                errors.append(
+                                    f"{rel}:{lineno}: cites {cited}, which "
+                                    "resolves from neither the repo root "
+                                    "nor docs/")
+    return errors
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1]
@@ -253,6 +288,7 @@ def main():
         + check_required_doc_links(root)
         + check_recipes(root, benches)
         + check_schema_doc(root)
+        + check_code_doc_citations(root)
     )
     if errors:
         for err in errors:
@@ -261,7 +297,8 @@ def main():
         return 1
     print("docs OK: links resolve, README matrix covers every bench "
           "binary, required handbook links present, recipes runnable, "
-          "schema table matches the golden header")
+          "schema table matches the golden header, code cites existing "
+          "docs")
     return 0
 
 
