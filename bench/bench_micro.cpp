@@ -211,17 +211,17 @@ void BM_ForestCommitPruneBelow(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestCommitPruneBelow)->Arg(64);
 
-// FileBlockStore::append of one committed block with `range(0)`
-// transactions and a 3-signature justify QC: encode, checksum, one write.
-// About 80 is the block size of the perfbench fault workload, 400 that of
-// the saturated LAN one. append() dedupes by hash, so the store is
-// recreated, outside the timing, every time the 64 prebuilt blocks run out.
-void BM_FileStoreAppend(benchmark::State& state) {
+// FileBlockStore::append of committed blocks with `range(0)` transactions
+// and a 3-signature justify QC. About 80 is the block size of the perfbench
+// fault workload, 400 that of the saturated LAN one. Each of `n_stores`
+// stores appends every block in turn; several share one RecordFramer, as
+// harness::Cluster builds them, so a lone store encodes, checksums and
+// writes each block, and the cluster path frames it once and writes it
+// n_stores times. One iteration is one block, and items count appends.
+// append() dedupes by hash, so the stores are recreated, outside the
+// timing, every time the 64 prebuilt blocks run out.
+void store_append(benchmark::State& state, std::size_t n_stores) {
   constexpr std::size_t kBatch = 64;
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("bamboo-micro-store-" + std::to_string(::getpid()) + ".blk"))
-          .string();
   std::vector<types::BlockPtr> blocks;
   types::BlockPtr parent = types::Block::genesis();
   for (std::size_t b = 0; b < kBatch; ++b) {
@@ -246,23 +246,45 @@ void BM_FileStoreAppend(benchmark::State& state) {
     parent = std::make_shared<const types::Block>(std::move(f));
     blocks.push_back(parent);
   }
-  std::unique_ptr<storage::FileBlockStore> store;
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < n_stores; ++i) {
+    paths.push_back((std::filesystem::temp_directory_path() /
+                     ("bamboo-micro-store-" + std::to_string(::getpid()) +
+                      "-" + std::to_string(i) + ".blk"))
+                        .string());
+  }
+  storage::RecordFramer framer;
+  std::vector<std::unique_ptr<storage::FileBlockStore>> stores(n_stores);
   std::size_t next = kBatch;
   for (auto _ : state) {
     if (next == kBatch) {
       state.PauseTiming();
-      store.reset();
-      std::filesystem::remove(path);
-      store = std::make_unique<storage::FileBlockStore>(path);
+      for (std::size_t i = 0; i < n_stores; ++i) {
+        stores[i].reset();
+        std::filesystem::remove(paths[i]);
+        stores[i] = std::make_unique<storage::FileBlockStore>(
+            paths[i], n_stores > 1 ? &framer : nullptr);
+      }
       next = 0;
       state.ResumeTiming();
     }
-    store->append(blocks[next++]);
+    for (const auto& store : stores) store->append(blocks[next]);
+    ++next;
   }
-  store.reset();
-  std::filesystem::remove(path);
+  stores.clear();
+  for (const std::string& path : paths) std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n_stores));
 }
+
+void BM_FileStoreAppend(benchmark::State& state) { store_append(state, 1); }
 BENCHMARK(BM_FileStoreAppend)->Arg(80)->Arg(400);
+
+// The seven stores of a perfbench fault-workload cluster.
+void BM_ClusterStoreAppend(benchmark::State& state) {
+  store_append(state, 7);
+}
+BENCHMARK(BM_ClusterStoreAppend)->Arg(80);
 
 // Broadcast fan-out: one sender fanning a vote (arg 0) or a proposal of
 // 400 transactions (arg 1) to 31 peers through the NIC queues, link
@@ -434,8 +456,10 @@ void BM_EventQueueDelayMix(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueDelayMix)->Arg(8)->Arg(64)->Arg(320);
 
-void BM_BlockWireSize(benchmark::State& state) {
-  // Pool of distinct blocks so the cached size cannot be hoisted.
+void BM_BlockComputeWireSize(benchmark::State& state) {
+  // The O(txns) sum a Block caches at construction (wire_size() itself is
+  // a member read), over a pool of distinct blocks so that no result can
+  // be hoisted out of the loop.
   std::vector<types::BlockPtr> blocks;
   for (std::uint32_t b = 0; b < 64; ++b) {
     types::Block::Fields f;
@@ -448,10 +472,12 @@ void BM_BlockWireSize(benchmark::State& state) {
   }
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(blocks[i++ & 63]->wire_size());
+    const types::Block& block = *blocks[i++ & 63];
+    benchmark::DoNotOptimize(types::Block::compute_wire_size(
+        block.slot(), block.justify(), block.txns()));
   }
 }
-BENCHMARK(BM_BlockWireSize)->Arg(100)->Arg(400);
+BENCHMARK(BM_BlockComputeWireSize)->Arg(100)->Arg(400);
 
 void BM_LinkDelaySampling(benchmark::State& state) {
   // The per-message hot path of the WAN engine (PR 3): one LinkMatrix

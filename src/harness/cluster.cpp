@@ -151,7 +151,7 @@ void Cluster::start() {
                ("replica" + std::to_string(id) + ".blk"))
                   .string()
             : std::string();
-    stores_.push_back(storage::make_store(cfg_.store, path));
+    stores_.push_back(storage::make_store(cfg_.store, path, &framer_));
   }
   replicas_.reserve(cfg_.n_replicas);
   for (types::NodeId id = 0; id < cfg_.n_replicas; ++id) {

@@ -73,6 +73,9 @@ class Cluster {
   void restart_replica(types::NodeId id);
 
   /// The durable store backing a replica (valid after start()).
+  [[nodiscard]] storage::BlockStore& store(types::NodeId id) {
+    return *stores_.at(id);
+  }
   [[nodiscard]] const storage::BlockStore& store(types::NodeId id) const {
     return *stores_.at(id);
   }
@@ -127,6 +130,9 @@ class Cluster {
   std::unique_ptr<election::LeaderElection> election_;
   core::ReplicaObservers observers_;
   std::vector<std::unique_ptr<core::ReplicaObserver>> owned_observers_;
+  /// Shared by the file stores: a block every replica commits is framed
+  /// once. Declared before stores_, which refer to it.
+  storage::RecordFramer framer_;
   std::vector<std::unique_ptr<storage::BlockStore>> stores_;
   std::string store_dir_;       ///< directory holding file-backed stores
   bool owns_store_dir_ = false;  ///< auto-generated dir, removed in dtor

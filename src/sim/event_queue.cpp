@@ -69,13 +69,28 @@ Time EventQueue::next_time() {
   return base_;
 }
 
-EventQueue::Fired EventQueue::pop() {
-  settle_head();
+EventQueue::Entry EventQueue::take_head() {
   const Entry e = buckets_[0][head_++];
   release_slot(e.slot);
   --live_;
+  return e;
+}
+
+EventQueue::Fired EventQueue::pop() {
+  settle_head();
+  const Entry e = take_head();
   // A prvalue return: the capture's one relocation is this move out.
   return Fired{e.at, encode(e.slot, e.gen), std::move(slots_[e.slot].fn)};
+}
+
+std::optional<EventQueue::Fired> EventQueue::pop_until(Time deadline) {
+  if (live_ == 0) return std::nullopt;
+  settle_head();
+  if (base_ > deadline) return std::nullopt;
+  const Entry e = take_head();
+  // Built in the optional: the capture's one relocation is this move out.
+  return std::optional<Fired>(std::in_place, e.at, encode(e.slot, e.gen),
+                              std::move(slots_[e.slot].fn));
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {

@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -87,6 +88,11 @@ class EventQueue {
   };
   Fired pop();
 
+  /// Pop the earliest live event if it is due at or before `deadline`;
+  /// nullopt when the queue is empty or the head is later. Settles the head
+  /// once, where next_time() then pop() would settle it twice.
+  std::optional<Fired> pop_until(Time deadline);
+
   /// Total events ever scheduled (statistics).
   [[nodiscard]] std::uint64_t total_scheduled() const { return scheduled_; }
 
@@ -134,6 +140,9 @@ class EventQueue {
   void settle_head();
   /// Lower base_ to `at` (earlier than every pending time) and refile.
   void rebase(Time at);
+  /// Consume the settled head entry and vacate its slot; the caller moves
+  /// the slot's callback out at once.
+  Entry take_head();
 
   std::uint32_t acquire_slot() {
     if (free_slots_.empty()) {

@@ -21,16 +21,13 @@ bool Simulator::step() {
   assert_thread_affinity();
   if (queue_.empty()) return false;
   auto fired = queue_.pop();
-  now_ = fired.at;
-  ++events_executed_;
-  fired.fn();
+  fire(fired);
   return true;
 }
 
 void Simulator::run_until(Time deadline) {
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    step();
-  }
+  assert_thread_affinity();
+  while (auto fired = queue_.pop_until(deadline)) fire(*fired);
   if (now_ < deadline) now_ = deadline;
 }
 

@@ -68,6 +68,13 @@ class Simulator {
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
  private:
+  /// Advance the clock to a popped event and run it.
+  void fire(EventQueue::Fired& ev) {
+    now_ = ev.at;
+    ++events_executed_;
+    ev.fn();
+  }
+
 #ifdef NDEBUG
   void assert_thread_affinity() const {}
 #else

@@ -219,9 +219,35 @@ void MemoryBlockStore::replay(
   }
 }
 
+// --- RecordFramer ----------------------------------------------------------
+
+std::span<const std::uint8_t> RecordFramer::frame(
+    const types::BlockPtr& block) {
+  if (framed_ != block) {
+    framed_.reset();
+    // Header and payload are encoded in place in one reusable buffer; the
+    // checksum covers the payload where it lies.
+    const std::size_t payload_len = encoded_size(*block);
+    record_len_ = kRecordHeaderBytes + payload_len;
+    if (record_.size() < record_len_) record_.resize(record_len_);
+    std::uint8_t* payload = record_.data() + kRecordHeaderBytes;
+    Writer body{payload};
+    encode_into(body, *block);
+    Writer header{record_.data()};
+    header.u32(kRecordMagic);
+    header.u32(static_cast<std::uint32_t>(payload_len));
+    header.u64(fnv1a64(payload, payload_len));
+    framed_ = block;
+  }
+  return {record_.data(), record_len_};
+}
+
 // --- FileBlockStore --------------------------------------------------------
 
-FileBlockStore::FileBlockStore(std::string path) : path_(std::move(path)) {
+FileBlockStore::FileBlockStore(std::string path, RecordFramer* framer)
+    : path_(std::move(path)),
+      own_framer_(framer ? nullptr : std::make_unique<RecordFramer>()),
+      framer_(framer ? *framer : *own_framer_) {
   recover();
   // One descriptor for the store's lifetime. Unbuffered, so each append's
   // record reaches the OS in one write.
@@ -271,27 +297,16 @@ void FileBlockStore::recover() {
 
 void FileBlockStore::append(const types::BlockPtr& block) {
   if (index_.contains(block->hash())) return;
-  // Header and payload are encoded in place in one reusable buffer; the
-  // checksum covers the payload where it lies.
-  const std::size_t payload_len = encoded_size(*block);
-  const std::size_t record_len = kRecordHeaderBytes + payload_len;
-  if (record_.size() < record_len) record_.resize(record_len);
-  std::uint8_t* payload = record_.data() + kRecordHeaderBytes;
-  Writer body{payload};
-  encode_into(body, *block);
-  Writer header{record_.data()};
-  header.u32(kRecordMagic);
-  header.u32(static_cast<std::uint32_t>(payload_len));
-  header.u64(fnv1a64(payload, payload_len));
-
-  if (std::fwrite(record_.data(), 1, record_len, out_.get()) != record_len ||
+  const std::span<const std::uint8_t> record = framer_.frame(block);
+  if (std::fwrite(record.data(), 1, record.size(), out_.get()) !=
+          record.size() ||
       std::fflush(out_.get()) != 0)
     throw std::runtime_error("block store: short write to " + path_);
 
   index_.emplace(block->hash(), log_.size());
   log_.push_back(block);
   ++stats_.appends;
-  stats_.bytes_written += record_len;
+  stats_.bytes_written += record.size();
   stats_.logical_bytes += block->wire_size();
 }
 
@@ -318,10 +333,11 @@ void FileBlockStore::replay(
 }
 
 std::unique_ptr<BlockStore> make_store(const std::string& kind,
-                                       const std::string& path) {
+                                       const std::string& path,
+                                       RecordFramer* framer) {
   if (kind.empty() || kind == "memory")
     return std::make_unique<MemoryBlockStore>();
-  if (kind == "file") return std::make_unique<FileBlockStore>(path);
+  if (kind == "file") return std::make_unique<FileBlockStore>(path, framer);
   throw std::invalid_argument("unknown block store kind: " + kind);
 }
 

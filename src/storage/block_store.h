@@ -29,6 +29,11 @@
 //                      record instead of poisoning it — the crash-restart
 //                      churn scenario rebuilds a replica from this file.
 //
+//                      A RecordFramer builds the records. A cluster's file
+//                      stores share one, so a block that every replica
+//                      commits is encoded and checksummed once, and each
+//                      store writes the same bytes it would frame alone.
+//
 // Simulated latency: the store itself performs no simulated waiting. When
 // Config::store_append_latency / store_read_latency are nonzero the
 // *replica* charges them through its CPU-worker queue (the same machinery
@@ -40,6 +45,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,6 +111,27 @@ class MemoryBlockStore final : public BlockStore {
   std::unordered_map<crypto::Digest, std::size_t> index_;
 };
 
+/// Frames blocks as file-log records (header and encode_block payload, see
+/// the header comment) in one reusable buffer, and remembers the block it
+/// framed last: asked for that same object again, it returns the bytes it
+/// already has. It matches by object identity, never by hash, because
+/// Block::hash() leaves out fields the record carries (the justify QC's
+/// height, slot and signatures, each transaction's client_endpoint and
+/// submitted_at), so two blocks with one hash can have different records.
+/// Holding the BlockPtr keeps its address from being reused. A framer
+/// belongs to one cluster and so to one thread.
+class RecordFramer {
+ public:
+  /// The record of `block`. The bytes stay valid until the next call.
+  [[nodiscard]] std::span<const std::uint8_t> frame(
+      const types::BlockPtr& block);
+
+ private:
+  std::vector<std::uint8_t> record_;  ///< the last record, then slack
+  std::size_t record_len_ = 0;
+  types::BlockPtr framed_;  ///< whose record record_ holds; set once whole
+};
+
 /// File-backed append log + index. Construction recovers the valid record
 /// prefix of the log at `path`, then opens (or creates) it for appending
 /// until the store is destroyed; an unopenable path throws
@@ -113,7 +140,9 @@ class MemoryBlockStore final : public BlockStore {
 /// framing and torn-write policy.
 class FileBlockStore final : public BlockStore {
  public:
-  explicit FileBlockStore(std::string path);
+  /// Frames through `framer`, which must outlive the store; a null
+  /// `framer` gives the store its own.
+  explicit FileBlockStore(std::string path, RecordFramer* framer = nullptr);
 
   void append(const types::BlockPtr& block) override;
   [[nodiscard]] types::BlockPtr read(const crypto::Digest& hash) override;
@@ -131,10 +160,11 @@ class FileBlockStore final : public BlockStore {
   void recover();
 
   std::string path_;
+  std::unique_ptr<RecordFramer> own_framer_;  ///< null when shared
+  RecordFramer& framer_;
   std::unique_ptr<std::FILE, FileCloser> out_;  ///< the open log; no copies
   std::vector<types::BlockPtr> log_;
   std::unordered_map<crypto::Digest, std::size_t> index_;
-  std::vector<std::uint8_t> record_;  ///< append's reusable encode buffer
 };
 
 /// Serialize one block into the record payload encoding (little-endian
@@ -150,9 +180,11 @@ class FileBlockStore final : public BlockStore {
 [[nodiscard]] std::uint64_t fnv1a64(const std::uint8_t* data,
                                     std::size_t len);
 
-/// Factory for Config::store: "memory" (default) or "file" (at `path`).
-/// Throws std::invalid_argument on an unknown kind.
-[[nodiscard]] std::unique_ptr<BlockStore> make_store(const std::string& kind,
-                                                     const std::string& path);
+/// Factory for Config::store: "memory" (default) or "file" (at `path`,
+/// framing through `framer` as FileBlockStore does). Throws
+/// std::invalid_argument on an unknown kind.
+[[nodiscard]] std::unique_ptr<BlockStore> make_store(
+    const std::string& kind, const std::string& path,
+    RecordFramer* framer = nullptr);
 
 }  // namespace bamboo::storage

@@ -69,6 +69,18 @@ class Block {
   /// otherwise be repaid on each send.
   [[nodiscard]] std::uint64_t wire_size() const { return wire_size_; }
 
+  /// The wire-model size wire_size() caches, from the fields it depends on.
+  [[nodiscard]] static std::uint64_t compute_wire_size(
+      Slot slot, const QuorumCert& justify,
+      const std::vector<Transaction>& txns) {
+    // Slot rides as a proto3-style default-elided varint field: absent at
+    // 0, one tag byte + 4-byte value otherwise.
+    std::uint64_t bytes = kBlockHeaderBytes + (slot == 0 ? 0 : 5) +
+                          justify.wire_size();
+    for (const Transaction& tx : txns) bytes += tx.wire_size();
+    return bytes;
+  }
+
   static crypto::Digest compute_hash(const crypto::Digest& parent_hash,
                                      View view, Height height, Slot slot,
                                      NodeId proposer,
@@ -88,17 +100,6 @@ class Block {
   Slot slot_;
   NodeId proposer_;
   QuorumCert justify_;
-  [[nodiscard]] static std::uint64_t compute_wire_size(
-      Slot slot, const QuorumCert& justify,
-      const std::vector<Transaction>& txns) {
-    // Slot rides as a proto3-style default-elided varint field: absent at
-    // 0, one tag byte + 4-byte value otherwise.
-    std::uint64_t bytes = kBlockHeaderBytes + (slot == 0 ? 0 : 5) +
-                          justify.wire_size();
-    for (const Transaction& tx : txns) bytes += tx.wire_size();
-    return bytes;
-  }
-
   std::vector<Transaction> txns_;
   crypto::Digest hash_;
   std::uint64_t wire_size_;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -240,10 +241,11 @@ class QueueModel {
 TEST(EventQueue, MatchesModelOnSeededOperationSequences) {
   // 256 seeded sequences of schedule (equal times, times before the last
   // pop, near events and timers 2^30..2^42 ns ahead), cancel (of live,
-  // fired, cancelled and recycled ids), next_time and pop. After every
-  // step the queue must agree with the model. Even seeds also peek at
-  // next_time() after every step, which settles the queue the way
-  // Simulator::run_until does; odd seeds pop without peeking first.
+  // fired, cancelled and recycled ids), next_time, pop and pop_until (with
+  // a deadline just before, at or after the earliest pending time). After
+  // every step the queue must agree with the model. Even seeds also peek at
+  // next_time() after every step, which settles the queue the way a
+  // pop_until() past its deadline does; odd seeds pop without peeking first.
   for (std::uint64_t seed = 1; seed <= 256; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     util::Rng rng(seed);
@@ -264,15 +266,28 @@ TEST(EventQueue, MatchesModelOnSeededOperationSequences) {
       ASSERT_TRUE(issued.insert(id).second) << "id reissued";
       model.schedule(at, id, tag);
     };
-    const auto pop = [&] {
+    const auto expect_fired = [&](sim::EventQueue::Fired& got) {
       const QueueModel::Event want = model.pop();
-      sim::EventQueue::Fired got = q.pop();
       ASSERT_EQ(got.at, want.at);
       ASSERT_EQ(got.id, want.id);
       got.fn();
       ASSERT_EQ(fired.back(), want.tag);
       dead.push_back(got.id);
       last_pop = got.at;
+    };
+    const auto pop = [&] {
+      sim::EventQueue::Fired got = q.pop();
+      expect_fired(got);
+    };
+    const auto pop_until = [&] {
+      const sim::Time around =
+          model.size() > 0 ? model.earliest().at : last_pop;
+      const sim::Time deadline =
+          around - 1 + static_cast<sim::Time>(rng.uniform_u64(3));
+      const bool due = model.size() > 0 && model.earliest().at <= deadline;
+      std::optional<sim::EventQueue::Fired> got = q.pop_until(deadline);
+      ASSERT_EQ(got.has_value(), due);
+      if (due) expect_fired(*got);
     };
     const auto cancel = [&](sim::EventId id) {
       const bool want = model.cancel(id);
@@ -312,6 +327,8 @@ TEST(EventQueue, MatchesModelOnSeededOperationSequences) {
         cancel(sim::kInvalidEventId);
       } else if (op < 68 && model.size() > 0) {  // peek
         ASSERT_EQ(q.next_time(), model.earliest().at);
+      } else if (op < 80) {  // bounded pop, also of an empty queue
+        pop_until();
       } else if (model.size() > 0) {
         pop();
       }

@@ -1,7 +1,8 @@
 // Tests for the durable ledger subsystem (storage/block_store.h): the
 // block codec, the in-memory and file-backed stores (append/read/replay,
 // hash dedup, byte accounting), the exact bytes of the file log's
-// records, torn-write recovery of the file log, and the end-to-end
+// records, torn-write recovery of the file log, stores sharing one record
+// framer writing the bytes they write alone, and the end-to-end
 // crash-restart path through the harness — a replica rebuilt from the
 // store it appended to before it died, with the disk accounting columns
 // populated and deterministic across thread counts.
@@ -19,9 +20,11 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "client/workload.h"
+#include "harness/cluster.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/runner.h"
@@ -628,6 +631,176 @@ TEST(FileStoreMutation, EditedPayloadsWithValidChecksumsReachTheDecoder) {
   EXPECT_GT(refusals["block record truncated (qc sigs)"], 0);
   EXPECT_GT(refusals["block record truncated (txns)"], 0);
   EXPECT_GT(refusals["block record has trailing bytes"], 0);
+}
+
+// ---------------------------------------------------------------------------
+// Stores sharing one record framer
+// ---------------------------------------------------------------------------
+
+/// A unique temp directory per test, removed on scope exit.
+struct TempDir {
+  explicit TempDir(const char* tag)
+      : path((std::filesystem::temp_directory_path() /
+              ("bamboo-test-store-" + std::to_string(::getpid()) + "-" +
+               tag))
+                 .string()) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (std::filesystem::path(path) / name).string();
+  }
+  const std::string path;
+};
+
+/// `b` with `first_signer`'s justify signatures in place of b's. The hash
+/// leaves the QC's signatures out, so the twin has b's hash and another
+/// record.
+BlockPtr resigned(const BlockPtr& b, crypto::SignerId first_signer) {
+  types::Block::Fields f;
+  f.parent_hash = b->parent_hash();
+  f.view = b->view();
+  f.height = b->height();
+  f.slot = b->slot();
+  f.proposer = b->proposer();
+  f.justify = b->justify();
+  for (crypto::Signature& sig : f.justify.sigs) {
+    sig.signer += first_signer;
+    sig.tag = crypto::Sha256::hash("resigned " + std::to_string(sig.signer));
+  }
+  f.txns = b->txns();
+  return std::make_shared<const types::Block>(std::move(f));
+}
+
+TEST(SharedFramer, StoresWriteTheBytesTheyWriteAlone) {
+  // Seven stores that share one framer and seven lone stores take the same
+  // appends; each shared store's log must equal its lone twin's.
+  constexpr std::size_t kStores = 7;
+  std::vector<BlockPtr> chain;
+  BlockPtr cursor = types::Block::genesis();
+  for (types::View v = 1; v <= 6; ++v) {
+    cursor = varied_child(cursor, v, 2 + v, 3);
+    chain.push_back(cursor);
+  }
+  // An equal block rebuilt by the decoder: another object, the same record.
+  const BlockPtr built = varied_child(chain.back(), 7, 4, 3);
+  const std::vector<std::uint8_t> payload = storage::encode_block(*built);
+  const BlockPtr rebuilt = storage::decode_block(payload.data(),
+                                                 payload.size());
+  ASSERT_NE(rebuilt, built);
+  ASSERT_EQ(rebuilt->hash(), built->hash());
+  // Two blocks with one hash and different records.
+  const BlockPtr twin_a = varied_child(built, 8, 5, 3);
+  const BlockPtr twin_b = resigned(twin_a, 10);
+  ASSERT_EQ(twin_a->hash(), twin_b->hash());
+  ASSERT_NE(storage::encode_block(*twin_a), storage::encode_block(*twin_b));
+  const BlockPtr last = varied_child(twin_a, 9, 2, 3);
+
+  std::vector<std::pair<std::size_t, BlockPtr>> appends;
+  const auto by_all = [&](const BlockPtr& b) {
+    for (std::size_t s = 0; s < kStores; ++s) appends.emplace_back(s, b);
+  };
+  by_all(chain[0]);
+  by_all(chain[1]);
+  for (std::size_t h = 2; h < 5; ++h) {  // store 6 falls behind
+    for (std::size_t s = 0; s < 6; ++s) appends.emplace_back(s, chain[h]);
+  }
+  // ...and catches up between the others' appends of the next block.
+  for (std::size_t s = 0; s < 6; ++s) {
+    appends.emplace_back(s, chain[5]);
+    if (s < 3) appends.emplace_back(6, chain[2 + s]);
+  }
+  appends.emplace_back(6, chain[5]);
+  for (std::size_t s = 0; s < kStores; ++s) {
+    appends.emplace_back(s, s % 2 == 0 ? built : rebuilt);
+  }
+  for (std::size_t s = 0; s < kStores; ++s) {
+    appends.emplace_back(s, s == 0 || s == 2 || s == 5 ? twin_a : twin_b);
+  }
+  by_all(last);
+
+  TempDir dir("shared-framer");
+  const auto path = [&](const char* kind, std::size_t s) {
+    return dir.file(kind + std::to_string(s) + ".blk");
+  };
+  {
+    storage::RecordFramer framer;
+    std::vector<std::unique_ptr<FileBlockStore>> shared;
+    std::vector<std::unique_ptr<FileBlockStore>> lone;
+    for (std::size_t s = 0; s < kStores; ++s) {
+      shared.push_back(
+          std::make_unique<FileBlockStore>(path("shared", s), &framer));
+      lone.push_back(std::make_unique<FileBlockStore>(path("lone", s)));
+    }
+    for (const auto& [s, b] : appends) shared[s]->append(b);
+    for (const auto& [s, b] : appends) lone[s]->append(b);
+    for (std::size_t s = 0; s < kStores; ++s) {
+      EXPECT_EQ(shared[s]->size(), 9u) << "store " << s;
+      EXPECT_EQ(shared[s]->stats().bytes_written,
+                lone[s]->stats().bytes_written)
+          << "store " << s;
+    }
+  }
+  for (std::size_t s = 0; s < kStores; ++s) {
+    EXPECT_EQ(read_bytes(path("shared", s)), read_bytes(path("lone", s)))
+        << "store " << s;
+  }
+  // The twins reach the logs: stores 0 and 1 hold different bytes.
+  EXPECT_NE(read_bytes(path("lone", 0)), read_bytes(path("lone", 1)));
+}
+
+TEST(SharedFramer, ClusterLogsEqualLoneStoresFedTheirBlocks) {
+  // A file-store cluster through a crash-restart, a partition whose heal
+  // ends in a snapshot install, and a loss burst. A lone store fed each
+  // replica's blocks in replay order must write that replica's log byte
+  // for byte.
+  TempDir dir("cluster");
+  core::Config cfg;
+  cfg.protocol = "2chs";
+  cfg.n_replicas = 7;
+  cfg.bsize = 100;
+  cfg.memsize = 200000;
+  cfg.seed = 23;
+  cfg.store = "file";
+  cfg.store_path = dir.path;
+  cfg.timeout = sim::milliseconds(30);
+  cfg.sync_batch = 4;
+  cfg.snapshot_gap = 8;
+  cfg.churn =
+      "partition@0.2s:groups=0-1-2-3-4-5|6;heal@0.5s;"
+      "burst@0.6s:replica=3:loss=0.9:for=0.1s;"
+      "crash-restart@0.7s:replica=5:for=0.15s";
+  client::WorkloadConfig wl;
+  wl.mode = client::LoadMode::kClosedLoop;
+  wl.concurrency = 64;
+
+  harness::Cluster cluster(cfg);
+  client::WorkloadDriver driver(cluster.simulator(), cluster.network(),
+                                cluster.config(), wl);
+  driver.install();
+  harness::install_churn(cluster, harness::effective_churn({}, cfg));
+  cluster.start();
+  driver.start();
+  cluster.simulator().run_for(sim::from_seconds(1.2));
+
+  EXPECT_EQ(cluster.restarts(), 1u);
+  EXPECT_GT(cluster.replica(6).sync_stats().snapshots_installed, 0u);
+  EXPECT_TRUE(cluster.check_consistency().consistent);
+  for (types::NodeId id = 0; id < cfg.n_replicas; ++id) {
+    std::vector<BlockPtr> blocks;
+    cluster.store(id).replay(
+        [&](const BlockPtr& b) { blocks.push_back(b); });
+    EXPECT_GT(blocks.size(), 8u) << "replica " << id;
+    const std::string lone_path = dir.file("lone" + std::to_string(id));
+    {
+      FileBlockStore lone(lone_path);
+      for (const BlockPtr& b : blocks) lone.append(b);
+    }
+    EXPECT_EQ(read_bytes(lone_path),
+              read_bytes(dir.file("replica" + std::to_string(id) + ".blk")))
+        << "replica " << id;
+  }
 }
 
 // ---------------------------------------------------------------------------

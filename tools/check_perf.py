@@ -43,10 +43,11 @@ GATED = [
     "BM_Broadcast/0",
     "BM_Broadcast/1",
     "BM_LinkDelaySampling/0",
-    "BM_BlockWireSize/400",
+    "BM_BlockComputeWireSize/400",
     "BM_CertificateChecks",
     "BM_ChurnDispatch",
     "BM_FileStoreAppend/80",
+    "BM_ClusterStoreAppend/80",
     "BM_WholeRun/hotstuff",
     "BM_WholeRun/2chs",
     "BM_WholeRun/streamlet",
