@@ -396,6 +396,34 @@ void BM_VoteAggregationToQc(benchmark::State& state) {
 }
 BENCHMARK(BM_VoteAggregationToQc)->Arg(4)->Arg(32);
 
+void BM_EchoedVoteCopies(benchmark::State& state) {
+  // Streamlet's copy path at one receiver: every vote of a view arrives n
+  // times (its broadcast plus n-1 echoes). The first copy misses has_vote()
+  // and is added; the other n-1 hit has_vote() and are dropped. Items are
+  // copies.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto hash = crypto::Sha256::hash("block");
+  types::View view = 1;
+  quorum::VoteAggregator agg(n);
+  for (auto _ : state) {
+    ++view;
+    for (types::NodeId voter = 0; voter < n; ++voter) {
+      types::VoteMsg vote;
+      vote.view = view;
+      vote.block_hash = hash;
+      vote.sig.signer = voter;
+      benchmark::DoNotOptimize(agg.has_vote(vote));
+      benchmark::DoNotOptimize(agg.add(vote));
+      for (std::uint32_t copy = 1; copy < n; ++copy) {
+        benchmark::DoNotOptimize(agg.has_vote(vote));
+      }
+    }
+    if (view % 64 == 0) agg.gc_below(view - 64);
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t{n} * n);
+}
+BENCHMARK(BM_EchoedVoteCopies)->Arg(16);
+
 void BM_EventQueueChurn(benchmark::State& state) {
   sim::EventQueue queue;
   sim::Time t = 0;

@@ -275,14 +275,17 @@ bool Replica::verify_qc(const types::QuorumCert& qc) {
   // (Streamlet echoes, timeout storms attaching the same high-QC, sync
   // responses), so repeats dominate in exactly the runs that are slowest.
   // Only full equality hits — a forged look-alike never matches — and only
-  // successes are memoized, so verdicts and counters are unchanged.
-  std::vector<types::QuorumCert>& seen = verified_qcs_[qc.view];
-  if (std::find(seen.begin(), seen.end(), qc) != seen.end()) {
+  // successes are entered, so verdicts and counters are unchanged and a
+  // rejected certificate (say, for a forged far-future view) leaves no
+  // entry behind.
+  if (const auto* seen = verified_qcs_.find(qc.view);
+      seen != nullptr &&
+      std::find(seen->begin(), seen->end(), qc) != seen->end()) {
     ++stats_.certs_verified;
     return true;
   }
   if (cert_verifier_.check_qc(qc) == quorum::CertCheck::kOk) {
-    seen.push_back(qc);
+    verified_qcs_[qc.view].push_back(qc);
     ++stats_.certs_verified;
     return true;
   }
@@ -291,18 +294,37 @@ bool Replica::verify_qc(const types::QuorumCert& qc) {
 }
 
 bool Replica::verify_tc(const types::TimeoutCert& tc) {
-  std::vector<types::TimeoutCert>& seen = verified_tcs_[tc.view];
-  if (std::find(seen.begin(), seen.end(), tc) != seen.end()) {
+  if (const auto* seen = verified_tcs_.find(tc.view);
+      seen != nullptr &&
+      std::find(seen->begin(), seen->end(), tc) != seen->end()) {
     ++stats_.certs_verified;
     return true;
   }
   if (cert_verifier_.check_tc(tc) == quorum::CertCheck::kOk) {
-    seen.push_back(tc);
+    verified_tcs_[tc.view].push_back(tc);
     ++stats_.certs_verified;
     return true;
   }
   ++stats_.certs_rejected;
   return false;
+}
+
+bool Replica::verify_proposal(const types::ProposalMsg& p) {
+  // Memo: Streamlet echoes every proposal, so a replica receives each one
+  // up to n times. keys_.verify is a pure function of (signature, block
+  // hash), so a copy whose pair already passed needs no second HMAC pass.
+  // Only passes are entered, keyed by the full signature (signer and tag)
+  // and the block hash: a forged copy is checked every time, and a genuine
+  // tag on another block never matches.
+  const types::Block& block = *p.block;
+  if (const auto* seen = verified_proposals_.find(block.view())) {
+    for (const VerifiedProposal& v : *seen) {
+      if (v.sig == p.sig && v.block_hash == block.hash()) return true;
+    }
+  }
+  if (!keys_.verify(p.sig, block.hash())) return false;
+  verified_proposals_[block.view()].push_back({block.hash(), p.sig});
+  return true;
 }
 
 // --------------------------------------------------------------------------
@@ -372,8 +394,7 @@ void Replica::on_qc_msg(const types::QcMsg& m, NodeId from) {
 
 void Replica::echo(const MessagePtr& msg, View view,
                    const crypto::Digest& dedup_key) {
-  auto& seen = echo_seen_[view];
-  if (!seen.insert(dedup_key).second) return;
+  if (!echo_seen_[view].insert(dedup_key).second) return;
   // Forward once to every other replica (Streamlet's O(n^3) pattern). The
   // forward itself is cheap on CPU; the cost is NIC bytes, which the
   // network model charges in full.
@@ -417,7 +438,7 @@ void Replica::on_proposal(const types::ProposalMsg& p, NodeId from,
         p.sig.signer != block->proposer() ||
         block->proposer() !=
             election_.slot_leader(block->view(), block->slot()) ||
-        !keys_.verify(p.sig, block->hash())) {
+        !verify_proposal(p)) {
       return;
     }
     // Certificate verification: the justify QC and any piggybacked TC must
@@ -759,15 +780,13 @@ void Replica::enter_view(View view, pacemaker::AdvanceReason reason) {
   const View gc_horizon = view > 64 ? view - 64 : 0;
   votes_.gc_below(gc_horizon);
   timeouts_.gc_below(gc_horizon);
-  echo_seen_.erase(echo_seen_.begin(), echo_seen_.lower_bound(gc_horizon));
-  charged_qcs_.erase(charged_qcs_.begin(),
-                     charged_qcs_.lower_bound(gc_horizon));
+  echo_seen_.erase_below(gc_horizon);
+  charged_qcs_.erase_below(gc_horizon);
   charged_tcs_.erase(charged_tcs_.begin(),
                      charged_tcs_.lower_bound(gc_horizon));
-  verified_qcs_.erase(verified_qcs_.begin(),
-                      verified_qcs_.lower_bound(gc_horizon));
-  verified_tcs_.erase(verified_tcs_.begin(),
-                      verified_tcs_.lower_bound(gc_horizon));
+  verified_qcs_.erase_below(gc_horizon);
+  verified_tcs_.erase_below(gc_horizon);
+  verified_proposals_.erase_below(gc_horizon);
   if (!pending_proposals_.empty()) {
     for (auto it = pending_proposals_.begin();
          it != pending_proposals_.end();) {

@@ -20,6 +20,7 @@
 #include "net/network.h"
 #include "pacemaker/pacemaker.h"
 #include "quorum/cert_verifier.h"
+#include "quorum/view_map.h"
 #include "quorum/vote_aggregator.h"
 #include "sim/simulator.h"
 #include "storage/block_store.h"
@@ -197,6 +198,8 @@ class Replica {
   /// forgeries. Certificates this replica formed itself are trusted.
   bool verify_qc(const types::QuorumCert& qc);
   bool verify_tc(const types::TimeoutCert& tc);
+  /// Check a received proposal's signature over its block hash.
+  bool verify_proposal(const types::ProposalMsg& p);
 
   // --- inbound dispatch ----------------------------------------------------
   void handle_envelope(const net::Envelope& env);
@@ -284,12 +287,18 @@ class Replica {
   VerifyStrategy verify_strategy_ = VerifyStrategy::kEager;
   // amortized-qc: certificates already charged (first-seen dedup), keyed by
   // view for GC along the same 64-view horizon as the aggregators.
-  std::map<types::View, std::unordered_set<crypto::Digest>> charged_qcs_;
+  quorum::ViewMap<std::unordered_set<crypto::Digest>> charged_qcs_;
   std::set<types::View> charged_tcs_;
-  // Certificates that already passed full verification (byte-identical
-  // matches skip the repeat HMAC pass; see verify_qc), same GC horizon.
-  std::map<types::View, std::vector<types::QuorumCert>> verified_qcs_;
-  std::map<types::View, std::vector<types::TimeoutCert>> verified_tcs_;
+  // Certificates and proposal signatures that already passed verification
+  // (exact matches skip the repeat HMAC pass; see verify_qc and
+  // verify_proposal), same GC horizon. Only passes are entered.
+  quorum::ViewMap<std::vector<types::QuorumCert>> verified_qcs_;
+  quorum::ViewMap<std::vector<types::TimeoutCert>> verified_tcs_;
+  struct VerifiedProposal {
+    crypto::Digest block_hash;
+    crypto::Signature sig;
+  };
+  quorum::ViewMap<std::vector<VerifiedProposal>> verified_proposals_;
 
   // consensus bookkeeping
   types::View last_proposed_view_ = 0;
@@ -304,7 +313,7 @@ class Replica {
   std::unordered_map<crypto::Digest, types::ProposalMsg> pending_proposals_;
   /// Pending propose_wait_after_vc timers by view; ~Replica cancels them.
   std::map<types::View, sim::EventId> propose_waits_;
-  std::map<types::View, std::unordered_set<crypto::Digest>> echo_seen_;
+  quorum::ViewMap<std::unordered_set<crypto::Digest>> echo_seen_;
 
   ReplicaStats stats_;
 };

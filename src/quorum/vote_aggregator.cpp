@@ -1,66 +1,84 @@
 #include "quorum/vote_aggregator.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace bamboo::quorum {
 
 std::optional<types::QuorumCert> VoteAggregator::add(
     const types::VoteMsg& vote) {
   const types::NodeId voter = vote.voter();
+  if (voter >= n_) return std::nullopt;  // not a replica: refused
 
-  auto& by_voter = votes_by_voter_[vote.view][vote.slot];
-  const auto [voter_it, first_vote_this_slot] =
-      by_voter.emplace(voter, vote.block_hash);
-  if (!first_vote_this_slot) {
-    if (voter_it->second != vote.block_hash) {
+  std::vector<SlotVotes>& slots = views_[vote.view];
+  auto slot_it =
+      std::find_if(slots.begin(), slots.end(), [&vote](const SlotVotes& s) {
+        return s.slot == vote.slot;
+      });
+  if (slot_it == slots.end()) {
+    slot_it = slots.insert(slots.end(), SlotVotes{vote.slot, {}, {}});
+    slot_it->choice.assign(n_, kNoVote);
+  }
+  SlotVotes& slot = *slot_it;
+
+  std::uint32_t& choice = slot.choice[voter];
+  if (choice != kNoVote) {
+    if (slot.blocks[choice].hash != vote.block_hash) {
       ++equivocations_;
     } else {
       ++duplicates_;
     }
     return std::nullopt;
   }
+  const auto block_it = std::find_if(
+      slot.blocks.begin(), slot.blocks.end(),
+      [&vote](const BlockVotes& b) { return b.hash == vote.block_hash; });
+  choice = static_cast<std::uint32_t>(block_it - slot.blocks.begin());
+  if (block_it == slot.blocks.end()) {
+    // Pin the height at the block's first vote: a later vote carrying a
+    // mismatched height for the same block must not poison the formed QC's
+    // height.
+    BlockVotes& block = slot.blocks.emplace_back();
+    block.hash = vote.block_hash;
+    block.height = vote.height;
+    block.sigs.reserve(quorum_);
+  }
 
-  Bucket& bucket = buckets_[vote.view][vote.slot][vote.block_hash];
+  BlockVotes& block = slot.blocks[choice];
   // The certificate stops growing once formed (long views would otherwise
   // accumulate signatures unboundedly).
-  if (bucket.formed) return std::nullopt;
-  if (bucket.sigs.empty()) {
-    // Pin the height at bucket creation: a later vote carrying a mismatched
-    // height for the same block must not poison the formed QC's height.
-    bucket.height = vote.height;
-  } else if (vote.height != bucket.height) {
+  if (block.formed) return std::nullopt;
+  if (vote.height != block.height) {
     ++equivocations_;
     return std::nullopt;
   }
-  bucket.voters.emplace(voter, true);
-  bucket.sigs.push_back(vote.sig);
+  block.sigs.push_back(vote.sig);
+  if (block.sigs.size() < quorum_) return std::nullopt;
 
-  if (bucket.sigs.size() >= quorum_) {
-    bucket.formed = true;
-    types::QuorumCert qc;
-    qc.view = vote.view;
-    qc.height = bucket.height;
-    qc.slot = vote.slot;
-    qc.block_hash = vote.block_hash;
-    qc.sigs = bucket.sigs;
-    return qc;
-  }
-  return std::nullopt;
+  block.formed = true;
+  types::QuorumCert qc;
+  qc.view = vote.view;
+  qc.height = block.height;
+  qc.slot = vote.slot;
+  qc.block_hash = vote.block_hash;
+  qc.sigs = std::move(block.sigs);
+  return qc;
 }
 
 bool VoteAggregator::has_vote(const types::VoteMsg& vote) const {
-  const auto view_it = votes_by_voter_.find(vote.view);
-  if (view_it == votes_by_voter_.end()) return false;
-  const auto slot_it = view_it->second.find(vote.slot);
-  if (slot_it == view_it->second.end()) return false;
-  const auto voter_it = slot_it->second.find(vote.voter());
-  return voter_it != slot_it->second.end() &&
-         voter_it->second == vote.block_hash;
+  const types::NodeId voter = vote.voter();
+  if (voter >= n_) return false;
+  const std::vector<SlotVotes>* slots = views_.find(vote.view);
+  if (slots == nullptr) return false;
+  for (const SlotVotes& slot : *slots) {
+    if (slot.slot != vote.slot) continue;
+    const std::uint32_t choice = slot.choice[voter];
+    return choice != kNoVote && slot.blocks[choice].hash == vote.block_hash;
+  }
+  return false;
 }
 
-void VoteAggregator::gc_below(types::View view) {
-  buckets_.erase(buckets_.begin(), buckets_.lower_bound(view));
-  votes_by_voter_.erase(votes_by_voter_.begin(),
-                        votes_by_voter_.lower_bound(view));
-}
+void VoteAggregator::gc_below(types::View view) { views_.erase_below(view); }
 
 std::optional<types::TimeoutCert> TimeoutAggregator::add(
     const types::TimeoutMsg& msg) {

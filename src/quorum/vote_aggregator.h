@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "quorum/view_map.h"
 #include "types/certificates.h"
 #include "types/messages.h"
 
@@ -18,10 +19,15 @@ namespace bamboo::quorum {
 /// slot 0, which degenerates to the legacy per-view keying. Duplicate
 /// votes are ignored; equivocating votes (same voter, same (view, slot),
 /// different blocks) are counted as Byzantine evidence.
+///
+/// The state of one (view, slot) is indexed by voter: the block each
+/// replica voted for, plus one short list entry per block voted (pinned
+/// height, signatures, formed). A vote whose voter id is not a replica id
+/// (>= num_replicas) is refused: add() records and counts nothing for it.
 class VoteAggregator {
  public:
   explicit VoteAggregator(std::uint32_t num_replicas)
-      : quorum_(types::quorum_size(num_replicas)) {}
+      : n_(num_replicas), quorum_(types::quorum_size(num_replicas)) {}
 
   /// Add a vote. Returns a freshly formed QC exactly once per
   /// (view, slot, block) when the quorum threshold is crossed.
@@ -49,24 +55,32 @@ class VoteAggregator {
   [[nodiscard]] std::uint32_t quorum() const { return quorum_; }
 
  private:
-  struct Bucket {
+  /// The votes counted for one block of a (view, slot).
+  struct BlockVotes {
+    crypto::Digest hash{};
+    /// Pinned by the block's first vote: a later vote carrying another
+    /// height for the same block is evidence, not a quorum vote.
     types::Height height = 0;
+    /// Moved into the QC when it forms; nothing reads them after that.
     std::vector<crypto::Signature> sigs;
-    std::unordered_map<types::NodeId, bool> voters;
     bool formed = false;
   };
+  /// Every vote of one (view, slot).
+  struct SlotVotes {
+    types::Slot slot = 0;
+    /// choice[voter]: the index in `blocks` of the block `voter` voted
+    /// for, kNoVote while it has not voted.
+    std::vector<std::uint32_t> choice;
+    /// At most one entry per voter; one in an honest (view, slot).
+    std::vector<BlockVotes> blocks;
+  };
+  static constexpr std::uint32_t kNoVote = ~std::uint32_t{0};
 
+  std::uint32_t n_;
   std::uint32_t quorum_;
-  // view -> slot -> block hash -> bucket. The outer std::map gives cheap
-  // ordered GC by view; the slot map is a std::map too (tiny: at most the
-  // election width).
-  std::map<types::View,
-           std::map<types::Slot, std::unordered_map<crypto::Digest, Bucket>>>
-      buckets_;
-  std::map<types::View,
-           std::map<types::Slot,
-                    std::unordered_map<types::NodeId, crypto::Digest>>>
-      votes_by_voter_;
+  /// view -> the (view, slot) records of the slots voted in that view (one
+  /// under single-leader elections, at most the election width).
+  ViewMap<std::vector<SlotVotes>> views_;
   std::uint64_t equivocations_ = 0;
   std::uint64_t duplicates_ = 0;
 };

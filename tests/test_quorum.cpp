@@ -1,10 +1,21 @@
 // Tests for vote/timeout aggregation: thresholds, dedup, equivocation
-// evidence, TC high-QC tracking, garbage collection.
+// evidence, TC high-QC tracking, garbage collection; the voter-indexed vote
+// state against a map-based reference model on seeded sequences; and the
+// per-view container the aggregator and the replica memos live in.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <optional>
+#include <unordered_map>
+#include <vector>
+
 #include "crypto/sha256.h"
+#include "quorum/view_map.h"
 #include "quorum/vote_aggregator.h"
+#include "util/rng.h"
 
 namespace bamboo {
 namespace {
@@ -243,6 +254,253 @@ TEST(TimeoutAggregator, LargeClusterQuorum) {
   const auto tc = agg.add(timeout(21, 9, 0));
   ASSERT_TRUE(tc.has_value());
   EXPECT_EQ(tc->high_qc.view, 20u);
+}
+
+TEST(VoteAggregator, RefusesVoterOutsideTheCluster) {
+  // Voter ids index the per-(view, slot) record, so an id that is not a
+  // replica's (>= n) is refused: nothing is recorded or counted, and
+  // has_vote() never holds for it.
+  quorum::VoteAggregator agg(4);
+  const auto h = crypto::Sha256::hash("b");
+  for (const types::NodeId outsider : {4u, 5u, 1000u}) {
+    EXPECT_FALSE(agg.add(vote(outsider, 1, h)).has_value());
+    EXPECT_FALSE(agg.add(vote(outsider, 1, h)).has_value());
+    EXPECT_FALSE(agg.has_vote(vote(outsider, 1, h)));
+  }
+  EXPECT_EQ(agg.duplicate_count(), 0u);
+  EXPECT_EQ(agg.equivocation_count(), 0u);
+  // The refused votes did not count toward the quorum either.
+  EXPECT_FALSE(agg.add(vote(0, 1, h)).has_value());
+  EXPECT_FALSE(agg.add(vote(1, 1, h)).has_value());
+  const auto qc = agg.add(vote(2, 1, h));
+  ASSERT_TRUE(qc.has_value());
+  EXPECT_EQ(qc->sigs.size(), 3u);
+}
+
+/// The map-based aggregator the voter-indexed one replaced, kept as the
+/// reference model: view -> slot -> {block hash -> bucket, voter -> hash}.
+class MapVoteAggregator {
+ public:
+  explicit MapVoteAggregator(std::uint32_t n)
+      : quorum_(types::quorum_size(n)) {}
+
+  std::optional<types::QuorumCert> add(const types::VoteMsg& vote) {
+    auto& by_voter = votes_by_voter_[vote.view][vote.slot];
+    const auto [voter_it, first] =
+        by_voter.emplace(vote.voter(), vote.block_hash);
+    if (!first) {
+      if (voter_it->second != vote.block_hash) {
+        ++equivocations_;
+      } else {
+        ++duplicates_;
+      }
+      return std::nullopt;
+    }
+    Bucket& bucket = buckets_[vote.view][vote.slot][vote.block_hash];
+    if (bucket.formed) return std::nullopt;
+    if (bucket.sigs.empty()) {
+      bucket.height = vote.height;
+    } else if (vote.height != bucket.height) {
+      ++equivocations_;
+      return std::nullopt;
+    }
+    bucket.sigs.push_back(vote.sig);
+    if (bucket.sigs.size() < quorum_) return std::nullopt;
+    bucket.formed = true;
+    types::QuorumCert qc;
+    qc.view = vote.view;
+    qc.height = bucket.height;
+    qc.slot = vote.slot;
+    qc.block_hash = vote.block_hash;
+    qc.sigs = bucket.sigs;
+    return qc;
+  }
+
+  [[nodiscard]] bool has_vote(const types::VoteMsg& vote) const {
+    const auto view_it = votes_by_voter_.find(vote.view);
+    if (view_it == votes_by_voter_.end()) return false;
+    const auto slot_it = view_it->second.find(vote.slot);
+    if (slot_it == view_it->second.end()) return false;
+    const auto voter_it = slot_it->second.find(vote.voter());
+    return voter_it != slot_it->second.end() &&
+           voter_it->second == vote.block_hash;
+  }
+
+  void gc_below(types::View view) {
+    buckets_.erase(buckets_.begin(), buckets_.lower_bound(view));
+    votes_by_voter_.erase(votes_by_voter_.begin(),
+                          votes_by_voter_.lower_bound(view));
+  }
+
+  [[nodiscard]] std::uint64_t equivocation_count() const {
+    return equivocations_;
+  }
+  [[nodiscard]] std::uint64_t duplicate_count() const { return duplicates_; }
+
+ private:
+  struct Bucket {
+    types::Height height = 0;
+    std::vector<crypto::Signature> sigs;
+    bool formed = false;
+  };
+  std::uint32_t quorum_;
+  std::map<types::View,
+           std::map<types::Slot, std::unordered_map<crypto::Digest, Bucket>>>
+      buckets_;
+  std::map<types::View,
+           std::map<types::Slot,
+                    std::unordered_map<types::NodeId, crypto::Digest>>>
+      votes_by_voter_;
+  std::uint64_t equivocations_ = 0;
+  std::uint64_t duplicates_ = 0;
+};
+
+TEST(VoteAggregator, MatchesTheMapModelOnSeededSequences) {
+  // Seeded random sequences of first votes, exact duplicates, equivocations
+  // (another block, same voter and (view, slot)), mismatched heights,
+  // has_vote queries (also on views with no votes), gc_below, votes below
+  // the last GC horizon (which re-create their view) and far-future views.
+  // After every step the aggregator must agree with the reference model on
+  // add()'s QC (every field, signature order included), has_vote and both
+  // counters. A voter id >= n goes to the aggregator alone, which refuses
+  // it.
+  const std::array<crypto::Digest, 3> hashes = {crypto::Sha256::hash("b0"),
+                                                crypto::Sha256::hash("b1"),
+                                                crypto::Sha256::hash("b2")};
+  for (const std::uint32_t n : {4u, 7u, 16u}) {
+    std::uint64_t qcs = 0;
+    std::uint64_t dup_hits = 0;
+    std::uint64_t equivocations = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      util::Rng rng(seed * 131 + n);
+      quorum::VoteAggregator agg(n);
+      MapVoteAggregator model(n);
+      std::vector<types::VoteMsg> added;
+      types::View current = 1;
+      types::View horizon = 0;
+      std::uint64_t tags = 0;
+      const auto fresh_vote = [&](types::View view) {
+        types::VoteMsg v;
+        v.view = view;
+        // Slot 0 and block 0 dominate, so quorums form.
+        const std::uint64_t slot_pick = rng.uniform_u64(10);
+        v.slot = slot_pick < 8 ? 0 : static_cast<types::Slot>(slot_pick - 7);
+        const std::uint64_t block_pick = rng.uniform_u64(10);
+        const std::size_t block = block_pick < 8 ? 0 : block_pick - 7;
+        v.block_hash = hashes[block];
+        v.height = view * 4 + block + (rng.uniform_u64(10) == 0 ? 1 : 0);
+        v.sig.signer = static_cast<types::NodeId>(rng.uniform_u64(n));
+        ++tags;
+        for (std::size_t i = 0; i < 8; ++i) {
+          v.sig.tag[i] = static_cast<std::uint8_t>(tags >> (8 * i));
+        }
+        return v;
+      };
+      const auto near_view = [&] {  // the current view, else 1-3 back
+        const std::uint64_t pick = rng.uniform_u64(8);
+        const types::View back = pick < 5 ? 0 : pick - 4;
+        return current > back ? current - back : types::View{1};
+      };
+      for (int step = 0; step < 3000; ++step) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " seed=" << seed << " step=" << step);
+        const std::uint64_t op = rng.uniform_u64(100);
+        std::optional<types::VoteMsg> probe;
+        if (op < 50 || (op >= 90 && op < 97)) {
+          types::View view = near_view();
+          if (op >= 90 && op < 94 && horizon > 1) {
+            view = horizon - 1 - rng.uniform_u64(std::min<types::View>(
+                                     horizon - 1, 8));  // below the horizon
+          } else if (op >= 94) {
+            view = current + 1000 + rng.uniform_u64(1'000'000);  // far ahead
+          }
+          const types::VoteMsg v = fresh_vote(view);
+          const auto got = agg.add(v);
+          ASSERT_EQ(got, model.add(v));
+          if (got) ++qcs;
+          added.push_back(v);
+          probe = v;
+        } else if (op < 62) {
+          if (added.empty()) continue;
+          const types::VoteMsg& v = added[rng.uniform_u64(added.size())];
+          ASSERT_EQ(agg.add(v), model.add(v));
+          probe = v;
+        } else if (op < 80) {
+          const bool replay = !added.empty() && rng.uniform_u64(2) == 0;
+          const types::VoteMsg v =
+              replay ? added[rng.uniform_u64(added.size())]
+                     : fresh_vote(rng.uniform_u64(3) == 0
+                                      ? current + 1 + rng.uniform_u64(50)
+                                      : near_view());
+          probe = v;
+        } else if (op < 84) {
+          const types::View span = std::min<types::View>(current, 70);
+          horizon = current - rng.uniform_u64(span);
+          agg.gc_below(horizon);
+          model.gc_below(horizon);
+        } else if (op < 90) {
+          // Views last longer in larger clusters, so quorums can form.
+          if (rng.uniform_u64(n / 4 + 1) == 0) ++current;
+        } else {
+          types::VoteMsg outsider = fresh_vote(near_view());
+          outsider.sig.signer = n + static_cast<types::NodeId>(
+                                        rng.uniform_u64(3 * n));
+          const std::uint64_t dups = agg.duplicate_count();
+          const std::uint64_t equivs = agg.equivocation_count();
+          EXPECT_FALSE(agg.add(outsider).has_value());
+          EXPECT_FALSE(agg.has_vote(outsider));
+          ASSERT_EQ(agg.duplicate_count(), dups);
+          ASSERT_EQ(agg.equivocation_count(), equivs);
+        }
+        if (!probe && !added.empty()) {
+          probe = added[rng.uniform_u64(added.size())];
+        }
+        if (probe) {
+          const bool has = agg.has_vote(*probe);
+          ASSERT_EQ(has, model.has_vote(*probe));
+          if (has) ++dup_hits;
+        }
+        ASSERT_EQ(agg.duplicate_count(), model.duplicate_count());
+        ASSERT_EQ(agg.equivocation_count(), model.equivocation_count());
+      }
+      equivocations += model.equivocation_count();
+    }
+    // The sequences reach every outcome, not just the empty ones.
+    EXPECT_GT(qcs, 50u) << "n=" << n;
+    EXPECT_GT(dup_hits, 500u) << "n=" << n;
+    EXPECT_GT(equivocations, 500u) << "n=" << n;
+  }
+}
+
+TEST(ViewMap, LookupInsertsNothing) {
+  quorum::ViewMap<std::vector<int>> map;
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_EQ(map.size(), 0u);
+
+  map[5].push_back(50);
+  map[9].push_back(90);
+  map[7].push_back(70);  // inserted in order, between 5 and 9
+  ASSERT_EQ(map.size(), 3u);
+  // Lookups of absent views (between, below, far ahead) leave no entry.
+  for (const types::View absent : {0u, 4u, 6u, 8u, 10u, 1'000'000u}) {
+    EXPECT_EQ(map.find(absent), nullptr);
+  }
+  EXPECT_EQ(map.size(), 3u);
+  ASSERT_NE(map.find(7), nullptr);
+  EXPECT_EQ(*map.find(7), std::vector<int>{70});
+  EXPECT_EQ(*map.find(9), std::vector<int>{90});
+  map[7].push_back(71);  // an existing entry is returned, not replaced
+  EXPECT_EQ(*map.find(7), (std::vector<int>{70, 71}));
+
+  map.erase_below(7);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.find(5), nullptr);
+  EXPECT_NE(map.find(7), nullptr);
+  // A view below the erased horizon is re-created empty on insertion.
+  EXPECT_TRUE(map[5].empty());
+  EXPECT_EQ(map.size(), 3u);
+  map.erase_below(1'000'000);
+  EXPECT_EQ(map.size(), 0u);
 }
 
 }  // namespace

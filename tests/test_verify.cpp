@@ -2,12 +2,13 @@
 // and HMAC checks on hand-crafted QCs/TCs, the forge-qc Byzantine strategy
 // end-to-end (forged certificates must be rejected and counted, never
 // committed), strategy cost-model sanity, determinism of the simulated
-// multi-worker verify pool, and a forged vote delivered ahead of the genuine
-// one.
+// multi-worker verify pool, and a forged vote or proposal delivered ahead of
+// the genuine one.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "client/workload.h"
@@ -16,6 +17,7 @@
 #include "harness/cluster.h"
 #include "harness/experiment.h"
 #include "quorum/cert_verifier.h"
+#include "types/block.h"
 #include "types/certificates.h"
 
 namespace bamboo {
@@ -318,6 +320,67 @@ TEST(VerifyPipeline, ForgedVoteCannotShadowTheGenuineVote) {
 
   deliver(forged);
   EXPECT_EQ(*r0.forest().qc_for(block->hash()), qc);
+}
+
+TEST(VerifyPipeline, ForgedProposalCannotRideTheMemo) {
+  // Streamlet echoes every proposal, and a replica skips the HMAC of a copy
+  // whose (block hash, signature) pair already passed. A forged copy
+  // arriving first must be checked and dropped every time, not remembered;
+  // the genuine proposal must then be accepted and voted on; and another
+  // block of the same view carrying the genuine tag must be rejected.
+  core::Config cfg;
+  cfg.protocol = "streamlet";
+  cfg.n_replicas = 4;  // quorum 3
+  cfg.byz_no = 2;      // replicas 2 and 3 crash at start: no QC ever forms,
+  cfg.strategy = "crash";  // so every votable block extends genesis
+  cfg.seed = 5;
+  harness::Cluster cluster(cfg);
+  cluster.start();
+  cluster.simulator().run_for(sim::milliseconds(450));
+
+  const core::Replica& r0 = cluster.replica(0);
+  ASSERT_EQ(r0.forest().committed_height(), 0u);
+  // A view ahead of replica 0's pacemaker (views time out after 100 ms):
+  // votable, and no live proposal of it arrives during the test.
+  const types::View view = r0.current_view() + 5;
+  const types::NodeId leader = cluster.election().leader(view);
+  const auto make_block = [&](std::uint32_t txs) {
+    types::Block::Fields fields;
+    fields.parent_hash = r0.forest().committed_tip()->hash();
+    fields.view = view;
+    fields.height = 1;
+    fields.proposer = leader;
+    fields.txns.resize(txs);
+    return std::make_shared<const types::Block>(std::move(fields));
+  };
+  types::ProposalMsg genuine;
+  genuine.block = make_block(0);
+  genuine.sig = cluster.keys().sign(leader, genuine.block->hash());
+  types::ProposalMsg forged = genuine;
+  forged.sig.tag = crypto::Sha256::hash("garbage");
+  types::ProposalMsg other = genuine;  // the genuine tag, another block
+  other.block = make_block(1);
+  ASSERT_NE(other.block->hash(), genuine.block->hash());
+  // Delivered as replica 1's echo of the leader's proposal.
+  const auto deliver = [&cluster](const types::ProposalMsg& p) {
+    cluster.network().send(1, 0, types::make_message(p));
+    cluster.simulator().run_for(sim::milliseconds(5));
+  };
+
+  for (int copy = 0; copy < 2; ++copy) {
+    deliver(forged);
+    EXPECT_FALSE(r0.forest().contains(genuine.block->hash())) << copy;
+    EXPECT_LT(r0.safety().last_voted_view(), view) << copy;
+  }
+
+  deliver(genuine);
+  EXPECT_TRUE(r0.forest().contains(genuine.block->hash()));
+  EXPECT_EQ(r0.safety().last_voted_view(), view);
+  const std::uint64_t votes = r0.stats().votes_sent;
+
+  deliver(other);
+  EXPECT_FALSE(r0.forest().contains(other.block->hash()));
+  EXPECT_EQ(r0.stats().votes_sent, votes);
 }
 
 }  // namespace

@@ -16,11 +16,26 @@ run builds its checkout's benchmark program first (run.py does that, outside
 the timed driver).
 
 It then prints, per workload and end-to-end metric of BENCHMARK.json, each
-side's median and quartiles, the ratio of the medians and how many pairs the
-change won (ties count for neither side). It also says whether the simulated
-metrics (sim_tps, sim_p50_ms, sim_p99_ms, sim_p999_ms, served_share) were
-bit-identical in every pair: a change to host speed alone must not move
-them. --out writes every run and the summary as JSON.
+side's median and quartiles, the ratio of the medians, how many pairs the
+change won (ties count for neither side) and a verdict:
+
+    gain           at least ten pairs ran, the change won at least 9 in 10
+                   of them, and its median is better than the parent's by
+                   more than the parent's interquartile range (IQR);
+    too few pairs  the win count and the gap would make a gain, but fewer
+                   than ten pairs ran;
+    worse          the change's median is worse than the parent's by more
+                   than the metric's `bound` in BENCHMARK.json (a fraction
+                   of the parent's median);
+    unresolved     the parent's IQR is wider than that bound, so the runs
+                   cannot tell, and not every run of the change is better
+                   than every run of the parent;
+    within bound   otherwise.
+
+It also says whether the simulated metrics (sim_tps, sim_p50_ms,
+sim_p99_ms, sim_p999_ms, served_share) were bit-identical in every pair: a
+change to host speed alone must not move them. --out writes every run and
+the summary as JSON.
 
 Exit status: 0 when every run was correct, 1 when any run failed its checks
 or printed no result, 2 on a bad command line. The tool writes nothing but
@@ -80,8 +95,27 @@ def quartiles(values):
     return q1, med, q3
 
 
+def verdict(higher, bound, pairs, parent, change, wins):
+    """One metric's verdict (see the module docstring). `pairs` holds each
+    pair's (parent, change) values; `parent` and `change` are each side's
+    (q1, median, q3)."""
+    sign = 1 if higher else -1
+    gap = sign * (change[1] - parent[1])
+    spread = parent[2] - parent[0]
+    if 10 * wins >= 9 * len(pairs) and gap > spread:
+        return "gain" if len(pairs) >= 10 else "too few pairs"
+    if -gap > bound * abs(parent[1]):
+        return "worse"
+    clear = (min(sign * c for _, c in pairs) >
+             max(sign * p for p, _ in pairs))
+    if spread > bound * abs(parent[1]) and not clear:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs, declared):
-    """Per-metric medians, quartiles and wins of one workload's pairs."""
+    """Per-metric medians, quartiles, wins and verdict of one workload's
+    pairs, and whether the simulated metrics were bit-identical."""
     rows = []
     for metric in declared:
         name = metric["name"]
@@ -98,6 +132,8 @@ def summarize(runs, declared):
             "pairs": len(pairs), "parent": parent, "change": change,
             "ratio": change[1] / parent[1] if parent[1] else float("nan"),
             "wins": wins,
+            "verdict": verdict(higher, metric["bound"], pairs, parent, change,
+                               wins),
         })
     identical = all(r["parent"].get(m) == r["change"].get(m)
                     for r in runs for m in SIMULATED)
@@ -108,15 +144,17 @@ def print_summary(workload, runs, rows, identical):
     seeds = ", ".join(str(r["seed"]) for r in runs)
     print(f"\n{workload}: {len(runs)} pairs (seeds {seeds})")
     print(f"  {'metric':14s} {'unit':9s} {'parent median [q1, q3]':30s} "
-          f"{'change median [q1, q3]':30s} {'ratio':>7s}  wins")
+          f"{'change median [q1, q3]':30s} {'ratio':>7s}  {'wins':6s} "
+          "verdict")
     for row in rows:
         cells = []
         for side in SIDES:
             q1, med, q3 = row[side]
             cells.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
+        wins = f"{row['wins']}/{row['pairs']}"
         print(f"  {row['metric']:14s} {row['unit']:9s} {cells[0]:30s} "
-              f"{cells[1]:30s} {row['ratio']:7.4f}  "
-              f"{row['wins']}/{row['pairs']}")
+              f"{cells[1]:30s} {row['ratio']:7.4f}  {wins:6s} "
+              f"{row['verdict']}")
     print("  simulated metrics (" + ", ".join(SIMULATED) + ") bit-identical "
           f"in every pair: {'yes' if identical else 'NO'}")
 
