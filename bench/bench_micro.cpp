@@ -211,13 +211,13 @@ void BM_ForestCommitPruneBelow(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestCommitPruneBelow)->Arg(64);
 
-// FileBlockStore::append of committed blocks with `range(0)` transactions
-// and a 3-signature justify QC. About 80 is the block size of the perfbench
-// fault workload, 400 that of the saturated LAN one. Each of `n_stores`
-// stores appends every block in turn; several share one RecordFramer, as
-// harness::Cluster builds them, so a lone store encodes, checksums and
-// writes each block, and the cluster path frames it once and writes it
-// n_stores times. One iteration is one block, and items count appends.
+// BlockStore::append, with a file log, of committed blocks with `range(0)`
+// transactions and a 3-signature justify QC. About 80 is the block size of
+// the perfbench fault workload, 400 that of the saturated LAN one. Each of
+// `n_stores` stores appends every block in turn; several share one
+// RecordFramer, as harness::Cluster builds them, so a lone store encodes,
+// checksums and writes each block, and the cluster path frames it once and
+// writes it n_stores times. One iteration is one block, and items count appends.
 // append() dedupes by hash, so the stores are recreated, outside the
 // timing, every time the 64 prebuilt blocks run out.
 void store_append(benchmark::State& state, std::size_t n_stores) {
@@ -254,7 +254,7 @@ void store_append(benchmark::State& state, std::size_t n_stores) {
                         .string());
   }
   storage::RecordFramer framer;
-  std::vector<std::unique_ptr<storage::FileBlockStore>> stores(n_stores);
+  std::vector<std::unique_ptr<storage::BlockStore>> stores(n_stores);
   std::size_t next = kBatch;
   for (auto _ : state) {
     if (next == kBatch) {
@@ -262,7 +262,7 @@ void store_append(benchmark::State& state, std::size_t n_stores) {
       for (std::size_t i = 0; i < n_stores; ++i) {
         stores[i].reset();
         std::filesystem::remove(paths[i]);
-        stores[i] = std::make_unique<storage::FileBlockStore>(
+        stores[i] = std::make_unique<storage::BlockStore>(
             paths[i], n_stores > 1 ? &framer : nullptr);
       }
       next = 0;

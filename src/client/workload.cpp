@@ -233,10 +233,10 @@ void WorkloadDriver::on_response(const types::ClientResponseMsg& resp) {
     if (closed && !stopped_) {
       const std::uint32_t session = resp.session;
       // Honor the server's retry-after hint (backoff admission policy);
-      // without one, fall back to the client's own backoff.
-      const sim::Duration wait =
-          resp.backoff_ms > 0 ? sim::from_milliseconds(resp.backoff_ms)
-                              : wl_.retry_backoff;
+      // without one, retry after the client's own 1 ms backoff.
+      const sim::Duration wait = resp.backoff_ms > 0
+                                     ? sim::from_milliseconds(resp.backoff_ms)
+                                     : sim::milliseconds(1);
       sim_.schedule_after(wait, [this, session] { issue(session); });
     }
     return;

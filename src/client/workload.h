@@ -74,7 +74,6 @@ struct WorkloadConfig {
   /// per-client objects — only the id is materialized).
   std::uint64_t client_population = 0;
   std::uint32_t payload_size = 0;   ///< psize
-  sim::Duration retry_backoff = sim::milliseconds(1);
   /// Closed-loop session watchdog: if a request is unanswered for this
   /// long, the session abandons it and issues a fresh one (REST client
   /// timeout). 0 disables. Needed under attacks that starve individual

@@ -52,8 +52,6 @@ void Config::validate() const {
   if (bandwidth_bps <= 0)
     throw std::invalid_argument("bandwidth must be positive");
   if (timeout <= 0) throw std::invalid_argument("timeout must be positive");
-  if (n_client_hosts == 0)
-    throw std::invalid_argument("need at least one client host");
   if (link_loss < 0 || link_loss >= 1)
     throw std::invalid_argument("link_loss must be in [0, 1)");
   if (ge_p < 0 || ge_p >= 1 || ge_r < 0 || ge_r >= 1)
@@ -72,8 +70,6 @@ void Config::validate() const {
         "snapshot_chunk must hold at least one 32-byte hash");
   if (store != "memory" && store != "file")
     throw std::invalid_argument("unknown block store kind: " + store);
-  if (store_append_latency < 0 || store_read_latency < 0)
-    throw std::invalid_argument("store latencies must be >= 0");
   (void)parse_strategy(strategy);  // throws on unknown strategy
   (void)parse_verify_strategy(verify_strategy);  // throws on unknown strategy
   if (cpu_workers == 0)
@@ -144,10 +140,6 @@ Config Config::from_json(const util::Json& j) {
   c.store_path = j.get_string("store_path", c.store_path);
   c.retention =
       static_cast<std::uint32_t>(j.get_int("retention", c.retention));
-  c.store_append_latency = sim::microseconds(j.get_int(
-      "store_append_us", c.store_append_latency / sim::kMicrosecond));
-  c.store_read_latency = sim::microseconds(j.get_int(
-      "store_read_us", c.store_read_latency / sim::kMicrosecond));
   c.rtt_mean = sim::from_milliseconds(
       j.get_number("rtt_ms", sim::to_milliseconds(c.rtt_mean)));
   c.rtt_stddev = sim::from_milliseconds(j.get_number(

@@ -68,7 +68,6 @@ struct Config {
   /// (non-responsive mode; 0 = propose as soon as the TC forms).
   sim::Duration propose_wait_after_vc = 0;
   double timeout_backoff = 1.0;  ///< multiplier per consecutive timeout
-  sim::Duration max_timeout = sim::seconds(10);
 
   // --- simulation substrate (model parameters, §V) ------------------------
   std::uint64_t seed = 1;
@@ -141,12 +140,6 @@ struct Config {
   /// tip; older vertices are pruned to the store. 0 (default) = infinite
   /// retention, the legacy keep-everything behavior.
   std::uint32_t retention = 0;
-  /// Simulated latency charged through the replica's CPU workers per
-  /// store append / point read. 0 (default) models an async write-behind
-  /// log that never stalls consensus — and adds no simulated events, so
-  /// default schedules stay byte-identical.
-  sim::Duration store_append_latency = 0;
-  sim::Duration store_read_latency = 0;
   sim::Duration cpu_sign = sim::microseconds(50);     ///< secp256k1 sign
   sim::Duration cpu_verify = sim::microseconds(80);   ///< secp256k1 verify
   /// Per-transaction server-side request handling (HTTP parse, mempool
@@ -184,7 +177,8 @@ struct Config {
   /// churn DSL.
   std::string admission = "drop";
 
-  std::uint32_t n_client_hosts = 2;  ///< paper: "2 VMs as clients"
+  /// Client host endpoints (paper: "2 VMs as clients").
+  static constexpr std::uint32_t n_client_hosts = 2;
 
   // --- derived -----------------------------------------------------------
   [[nodiscard]] std::uint32_t f() const { return types::max_faulty(n_replicas); }

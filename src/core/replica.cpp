@@ -30,10 +30,9 @@ Replica::Replica(sim::Simulator& simulator, net::SimNetwork& network,
       cert_verifier_(keys, config.n_replicas),
       pacemaker_(
           simulator,
-          pacemaker::Pacemaker::Settings{config.timeout,
-                                         config.timeout_backoff,
-                                         config.max_timeout,
-                                         election.width()},
+          pacemaker::Pacemaker::Settings{.base_timeout = config.timeout,
+                                         .backoff = config.timeout_backoff,
+                                         .slots = election.width()},
           pacemaker::Pacemaker::Callbacks{
               [this](View v) { broadcast_timeout(v); },
               [this](View v, pacemaker::AdvanceReason r) {
@@ -310,13 +309,19 @@ bool Replica::verify_tc(const types::TimeoutCert& tc) {
 }
 
 bool Replica::verify_proposal(const types::ProposalMsg& p) {
+  // Authenticity + leadership checks, per slot: single-leader elections
+  // only ever see slot 0, where slot_leader degenerates to leader().
+  const types::Block& block = *p.block;
+  if (block.slot() >= election_.width() || p.sig.signer != block.proposer() ||
+      block.proposer() != election_.slot_leader(block.view(), block.slot())) {
+    return false;
+  }
   // Memo: Streamlet echoes every proposal, so a replica receives each one
   // up to n times. keys_.verify is a pure function of (signature, block
   // hash), so a copy whose pair already passed needs no second HMAC pass.
   // Only passes are entered, keyed by the full signature (signer and tag)
   // and the block hash: a forged copy is checked every time, and a genuine
   // tag on another block never matches.
-  const types::Block& block = *p.block;
   if (const auto* seen = verified_proposals_.find(block.view())) {
     for (const VerifiedProposal& v : *seen) {
       if (v.sig == p.sig && v.block_hash == block.hash()) return true;
@@ -353,12 +358,14 @@ void Replica::dispatch(const net::Envelope& env) {
   if (std::holds_alternative<types::ClientRequestMsg>(msg)) {
     on_client_request(std::get<types::ClientRequestMsg>(msg));
   } else if (std::holds_alternative<types::ProposalMsg>(msg)) {
-    if (safety_->echo_messages() &&
-        std::get<types::ProposalMsg>(msg).block) {
-      echo(env.msg, std::get<types::ProposalMsg>(msg).block->view(),
-           std::get<types::ProposalMsg>(msg).block->hash());
+    const auto& p = std::get<types::ProposalMsg>(msg);
+    // Checked before the echo: the echo slot is deduped by block hash, so a
+    // forged copy arriving first must not take it from the genuine one.
+    if (!p.block || !verify_proposal(p)) return;
+    if (safety_->echo_messages()) {
+      echo(env.msg, p.block->view(), p.block->hash());
     }
-    on_proposal(std::get<types::ProposalMsg>(msg), env.from, false);
+    on_proposal(p, env.from, false);
   } else if (std::holds_alternative<types::VoteMsg>(msg)) {
     const auto& vote = std::get<types::VoteMsg>(msg);
     if (safety_->echo_messages()) echo(env.msg, vote.view, vote.sig.tag);
@@ -432,15 +439,6 @@ void Replica::on_proposal(const types::ProposalMsg& p, NodeId from,
   const BlockPtr& block = p.block;
 
   if (!self) {
-    // Authenticity + leadership checks, per slot: single-leader elections
-    // only ever see slot 0, where slot_leader degenerates to leader().
-    if (block->slot() >= election_.width() ||
-        p.sig.signer != block->proposer() ||
-        block->proposer() !=
-            election_.slot_leader(block->view(), block->slot()) ||
-        !verify_proposal(p)) {
-      return;
-    }
     // Certificate verification: the justify QC and any piggybacked TC must
     // check out before any of their state transitions run — a forged
     // certificate must not advance the pacemaker, enter the forest, or
@@ -630,14 +628,8 @@ void Replica::do_commit(const crypto::Digest& target) {
   for (const BlockPtr& block : *chain) {
     ++stats_.blocks_committed;
     // Durable ledger: commit order IS append order, so the store doubles as
-    // a write-ahead commit log for crash-restart recovery. The simulated
-    // write stall (0 by default) occupies a CPU worker like any other work.
-    if (store_ && !block->is_genesis()) {
-      store_->append(block);
-      if (cfg_.store_append_latency > 0) {
-        enqueue_cpu(cfg_.store_append_latency, [] {});
-      }
-    }
+    // a write-ahead commit log for crash-restart recovery.
+    if (store_ && !block->is_genesis()) store_->append(block);
     for (ReplicaObserver* o : observers_) o->on_commit(*this, block);
     for (const types::Transaction& tx : block->txns()) {
       if (tx.serving_replica != id_) continue;
@@ -684,11 +676,6 @@ void Replica::reload_from_store() {
     forest_.add_qc(block->justify());
     if (!best || block->height() > best->height()) best = block;
   });
-  if (cfg_.store_read_latency > 0) {
-    enqueue_cpu(
-        static_cast<sim::Duration>(store_->size()) * cfg_.store_read_latency,
-        [] {});
-  }
   if (!best) return;
   // Commit the recovered prefix directly (no events / stats: the pre-crash
   // instance already counted these commits and answered their clients).

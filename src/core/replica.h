@@ -198,13 +198,15 @@ class Replica {
   /// forgeries. Certificates this replica formed itself are trusted.
   bool verify_qc(const types::QuorumCert& qc);
   bool verify_tc(const types::TimeoutCert& tc);
-  /// Check a received proposal's signature over its block hash.
+  /// Check a received proposal: its slot is in range, its proposer signed
+  /// it and leads that slot, and the signature covers its block hash.
   bool verify_proposal(const types::ProposalMsg& p);
 
   // --- inbound dispatch ----------------------------------------------------
   void handle_envelope(const net::Envelope& env);
   void dispatch(const net::Envelope& env);
   void on_client_request(const types::ClientRequestMsg& req);
+  /// A received proposal (`self` false) has passed verify_proposal.
   void on_proposal(const types::ProposalMsg& p, types::NodeId from,
                    bool self);
   void on_vote(const types::VoteMsg& v, types::NodeId from);

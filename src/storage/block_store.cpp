@@ -21,8 +21,8 @@ constexpr std::size_t kBlockFixedBytes = 56 + 56 + 4;
 constexpr std::size_t kSigBytes = 4 + 32;
 constexpr std::size_t kTxBytes = 8 + 4 + 4 + 4 + 8 + 4;
 
-/// Payload bytes of encode_block(b). Reads and replays count a record's
-/// length from it, without re-encoding the block.
+/// Payload bytes of encode_block(b). Replays count a record's length from
+/// it, without re-encoding the block.
 std::size_t encoded_size(const types::Block& b) {
   return kBlockFixedBytes + kSigBytes * b.justify().sigs.size() +
          kTxBytes * b.txns().size();
@@ -187,38 +187,6 @@ types::BlockPtr decode_block(const std::uint8_t* data, std::size_t len) {
   return std::make_shared<const types::Block>(std::move(f));
 }
 
-// --- MemoryBlockStore ------------------------------------------------------
-
-void MemoryBlockStore::append(const types::BlockPtr& block) {
-  if (index_.contains(block->hash())) return;
-  index_.emplace(block->hash(), log_.size());
-  log_.push_back(block);
-  ++stats_.appends;
-  stats_.bytes_written += block->wire_size();
-  stats_.logical_bytes += block->wire_size();
-}
-
-types::BlockPtr MemoryBlockStore::read(const crypto::Digest& hash) {
-  const auto it = index_.find(hash);
-  if (it == index_.end()) return nullptr;
-  ++stats_.reads;
-  stats_.bytes_read += log_[it->second]->wire_size();
-  return log_[it->second];
-}
-
-bool MemoryBlockStore::contains(const crypto::Digest& hash) const {
-  return index_.contains(hash);
-}
-
-void MemoryBlockStore::replay(
-    const std::function<void(const types::BlockPtr&)>& fn) {
-  for (const types::BlockPtr& block : log_) {
-    ++stats_.reads;
-    stats_.bytes_read += block->wire_size();
-    fn(block);
-  }
-}
-
 // --- RecordFramer ----------------------------------------------------------
 
 std::span<const std::uint8_t> RecordFramer::frame(
@@ -242,12 +210,12 @@ std::span<const std::uint8_t> RecordFramer::frame(
   return {record_.data(), record_len_};
 }
 
-// --- FileBlockStore --------------------------------------------------------
+// --- BlockStore ------------------------------------------------------------
 
-FileBlockStore::FileBlockStore(std::string path, RecordFramer* framer)
+BlockStore::BlockStore(std::string path, RecordFramer* framer)
     : path_(std::move(path)),
       own_framer_(framer ? nullptr : std::make_unique<RecordFramer>()),
-      framer_(framer ? *framer : *own_framer_) {
+      framer_(framer ? framer : own_framer_.get()) {
   recover();
   // One descriptor for the store's lifetime. Unbuffered, so each append's
   // record reaches the OS in one write.
@@ -256,7 +224,7 @@ FileBlockStore::FileBlockStore(std::string path, RecordFramer* framer)
   std::setvbuf(out_.get(), nullptr, _IONBF, 0);
 }
 
-void FileBlockStore::recover() {
+void BlockStore::recover() {
   std::ifstream in(path_, std::ios::binary);
   if (!in.is_open()) return;  // fresh store
   std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
@@ -295,39 +263,30 @@ void FileBlockStore::recover() {
   }
 }
 
-void FileBlockStore::append(const types::BlockPtr& block) {
+void BlockStore::append(const types::BlockPtr& block) {
   if (index_.contains(block->hash())) return;
-  const std::span<const std::uint8_t> record = framer_.frame(block);
-  if (std::fwrite(record.data(), 1, record.size(), out_.get()) !=
-          record.size() ||
-      std::fflush(out_.get()) != 0)
-    throw std::runtime_error("block store: short write to " + path_);
-
+  std::uint64_t written = block->wire_size();
+  if (out_) {
+    const std::span<const std::uint8_t> record = framer_->frame(block);
+    if (std::fwrite(record.data(), 1, record.size(), out_.get()) !=
+            record.size() ||
+        std::fflush(out_.get()) != 0)
+      throw std::runtime_error("block store: short write to " + path_);
+    written = record.size();
+  }
   index_.emplace(block->hash(), log_.size());
   log_.push_back(block);
   ++stats_.appends;
-  stats_.bytes_written += record.size();
+  stats_.bytes_written += written;
   stats_.logical_bytes += block->wire_size();
 }
 
-types::BlockPtr FileBlockStore::read(const crypto::Digest& hash) {
-  const auto it = index_.find(hash);
-  if (it == index_.end()) return nullptr;
-  const types::BlockPtr& block = log_[it->second];
-  ++stats_.reads;
-  stats_.bytes_read += kRecordHeaderBytes + encoded_size(*block);
-  return block;
-}
-
-bool FileBlockStore::contains(const crypto::Digest& hash) const {
-  return index_.contains(hash);
-}
-
-void FileBlockStore::replay(
+void BlockStore::replay(
     const std::function<void(const types::BlockPtr&)>& fn) {
   for (const types::BlockPtr& block : log_) {
     ++stats_.reads;
-    stats_.bytes_read += kRecordHeaderBytes + encoded_size(*block);
+    stats_.bytes_read += out_ ? kRecordHeaderBytes + encoded_size(*block)
+                              : block->wire_size();
     fn(block);
   }
 }
@@ -335,9 +294,8 @@ void FileBlockStore::replay(
 std::unique_ptr<BlockStore> make_store(const std::string& kind,
                                        const std::string& path,
                                        RecordFramer* framer) {
-  if (kind.empty() || kind == "memory")
-    return std::make_unique<MemoryBlockStore>();
-  if (kind == "file") return std::make_unique<FileBlockStore>(path, framer);
+  if (kind.empty() || kind == "memory") return std::make_unique<BlockStore>();
+  if (kind == "file") return std::make_unique<BlockStore>(path, framer);
   throw std::invalid_argument("unknown block store kind: " + kind);
 }
 

@@ -65,8 +65,8 @@ struct ClientResponseMsg {
   sim::Time submitted_at = 0;
   bool rejected = false;
   /// Retry-after hint on rejections under the "backoff:<ms>" admission
-  /// policy (0 = no hint; closed-loop clients fall back to their own
-  /// retry_backoff). Rides in the modeled payload — wire_size unchanged.
+  /// policy (0 = no hint; closed-loop clients then retry after 1 ms).
+  /// Rides in the modeled payload — wire_size unchanged.
   double backoff_ms = 0;
 };
 

@@ -1,6 +1,6 @@
 // Tests for the durable ledger subsystem (storage/block_store.h): the
-// block codec, the in-memory and file-backed stores (append/read/replay,
-// hash dedup, byte accounting), the exact bytes of the file log's
+// block codec, the store with and without a file log (append/replay, hash
+// dedup, byte accounting), the exact bytes of the file log's
 // records, torn-write recovery of the file log, stores sharing one record
 // framer writing the bytes they write alone, and the end-to-end
 // crash-restart path through the harness — a replica rebuilt from the
@@ -37,8 +37,6 @@ namespace bamboo {
 namespace {
 
 using storage::BlockStore;
-using storage::FileBlockStore;
-using storage::MemoryBlockStore;
 using types::BlockPtr;
 
 BlockPtr child_of(const BlockPtr& parent, types::View view,
@@ -72,6 +70,20 @@ std::vector<BlockPtr> make_chain(std::size_t n) {
     chain.push_back(cursor);
   }
   return chain;
+}
+
+/// The hashes of `blocks`, in order.
+std::vector<crypto::Digest> hashes_of(const std::vector<BlockPtr>& blocks) {
+  std::vector<crypto::Digest> hashes;
+  for (const BlockPtr& b : blocks) hashes.push_back(b->hash());
+  return hashes;
+}
+
+/// The hashes `store` replays, in order.
+std::vector<crypto::Digest> replayed_hashes(BlockStore& store) {
+  std::vector<crypto::Digest> hashes;
+  store.replay([&](const BlockPtr& b) { hashes.push_back(b->hash()); });
+  return hashes;
 }
 
 /// A unique temp log path per test, removed on scope exit.
@@ -124,7 +136,7 @@ TEST(BlockCodec, RejectsTruncatedAndEmptyPayloads) {
 // ---------------------------------------------------------------------------
 
 TEST(MemoryStore, AppendsDedupeAndAccountLogicalBytes) {
-  MemoryBlockStore store;
+  BlockStore store;
   const auto chain = make_chain(3);
   for (const BlockPtr& b : chain) store.append(b);
   store.append(chain[0]);  // duplicate: idempotent on the hash
@@ -135,23 +147,16 @@ TEST(MemoryStore, AppendsDedupeAndAccountLogicalBytes) {
   EXPECT_GT(store.stats().bytes_written, 0u);
   EXPECT_EQ(store.stats().bytes_written, store.stats().logical_bytes);
 
-  EXPECT_TRUE(store.contains(chain[1]->hash()));
-  const BlockPtr got = store.read(chain[1]->hash());
-  ASSERT_TRUE(got);
-  EXPECT_EQ(got->hash(), chain[1]->hash());
-  EXPECT_FALSE(store.read(crypto::Sha256::hash("nowhere")));
-
-  std::vector<types::Height> heights;
-  store.replay([&](const BlockPtr& b) { heights.push_back(b->height()); });
-  EXPECT_EQ(heights, (std::vector<types::Height>{1, 2, 3}));
-  EXPECT_GT(store.stats().reads, 0u);
+  EXPECT_EQ(replayed_hashes(store), hashes_of(chain));
+  EXPECT_EQ(store.stats().reads, 3u);
+  EXPECT_EQ(store.stats().bytes_read, store.stats().logical_bytes);
 }
 
 TEST(FileStore, RoundTripsBlocksAcrossReopen) {
   TempLog log("roundtrip");
   const auto chain = make_chain(8);
   {
-    FileBlockStore store(log.path);
+    BlockStore store(log.path);
     EXPECT_TRUE(store.empty());
     for (const BlockPtr& b : chain) store.append(b);
     store.append(chain[2]);  // dedup: the log must not grow
@@ -165,51 +170,44 @@ TEST(FileStore, RoundTripsBlocksAcrossReopen) {
               std::filesystem::file_size(log.path));
     EXPECT_NE(store.stats().bytes_written, store.stats().logical_bytes);
   }
-  // Reopen: recovery rebuilds the index from the log alone.
-  FileBlockStore reopened(log.path);
+  // Reopen: recovery rebuilds the log and index from the file alone.
+  BlockStore reopened(log.path);
   EXPECT_EQ(reopened.size(), 8u);
-  std::vector<crypto::Digest> replayed;
-  reopened.replay([&](const BlockPtr& b) { replayed.push_back(b->hash()); });
+  std::vector<BlockPtr> replayed;
+  reopened.replay([&](const BlockPtr& b) { replayed.push_back(b); });
+  EXPECT_EQ(hashes_of(replayed), hashes_of(chain));
   ASSERT_EQ(replayed.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(replayed[i], chain[i]->hash()) << "position " << i;
-    EXPECT_TRUE(reopened.contains(chain[i]->hash()));
-  }
-  const BlockPtr got = reopened.read(chain[5]->hash());
-  ASSERT_TRUE(got);
-  EXPECT_EQ(got->height(), 6u);
-  EXPECT_EQ(got->txns().size(), chain[5]->txns().size());
+  EXPECT_EQ(replayed[5]->height(), 6u);
+  EXPECT_EQ(replayed[5]->txns().size(), chain[5]->txns().size());
 }
 
 TEST(FileStore, TornWriteIsTruncatedToTheValidPrefix) {
   TempLog log("torn");
   const auto chain = make_chain(5);
   {
-    FileBlockStore store(log.path);
+    BlockStore store(log.path);
     for (const BlockPtr& b : chain) store.append(b);
   }
   // Simulate a crash mid-write: chop the tail of the last record.
   const auto full = std::filesystem::file_size(log.path);
   std::filesystem::resize_file(log.path, full - 7);
 
-  FileBlockStore recovered(log.path);
-  EXPECT_EQ(recovered.size(), 4u);
-  EXPECT_TRUE(recovered.contains(chain[3]->hash()));
-  EXPECT_FALSE(recovered.contains(chain[4]->hash()));
+  BlockStore recovered(log.path);
+  EXPECT_EQ(replayed_hashes(recovered),
+            hashes_of(std::vector<BlockPtr>(chain.begin(), chain.end() - 1)));
   // The store keeps working after recovery: re-append the lost block and
   // it survives the next reopen.
   recovered.append(chain[4]);
   EXPECT_EQ(recovered.size(), 5u);
-  FileBlockStore again(log.path);
-  EXPECT_EQ(again.size(), 5u);
-  EXPECT_TRUE(again.contains(chain[4]->hash()));
+  BlockStore again(log.path);
+  EXPECT_EQ(replayed_hashes(again), hashes_of(chain));
 }
 
 TEST(FileStore, ChecksumMismatchRejectsTheCorruptedSuffix) {
   TempLog log("corrupt");
   const auto chain = make_chain(5);
   {
-    FileBlockStore store(log.path);
+    BlockStore store(log.path);
     for (const BlockPtr& b : chain) store.append(b);
   }
   // Flip the last payload byte: length and magic still parse, but the
@@ -224,23 +222,25 @@ TEST(FileStore, ChecksumMismatchRejectsTheCorruptedSuffix) {
     f.seekp(-1, std::ios::end);
     f.put(static_cast<char>(byte ^ 0x5a));
   }
-  FileBlockStore recovered(log.path);
-  EXPECT_EQ(recovered.size(), 4u);
-  EXPECT_FALSE(recovered.contains(chain[4]->hash()));
+  BlockStore recovered(log.path);
+  EXPECT_EQ(replayed_hashes(recovered),
+            hashes_of(std::vector<BlockPtr>(chain.begin(), chain.end() - 1)));
 }
 
 TEST(StoreFactory, MakesBothKindsAndRejectsUnknown) {
   TempLog log("factory");
   const auto mem = storage::make_store("memory", "");
-  EXPECT_TRUE(dynamic_cast<MemoryBlockStore*>(mem.get()) != nullptr);
+  EXPECT_TRUE(mem->path().empty());
+  EXPECT_FALSE(std::filesystem::exists(log.path));
   const auto file = storage::make_store("file", log.path);
-  EXPECT_TRUE(dynamic_cast<FileBlockStore*>(file.get()) != nullptr);
+  EXPECT_EQ(file->path(), log.path);
+  EXPECT_TRUE(std::filesystem::exists(log.path));
   EXPECT_THROW(static_cast<void>(storage::make_store("cloud", "")),
                std::invalid_argument);
 }
 
-static_assert(!std::is_copy_constructible_v<FileBlockStore> &&
-                  !std::is_copy_assignable_v<FileBlockStore>,
+static_assert(!std::is_copy_constructible_v<BlockStore> &&
+                  !std::is_copy_assignable_v<BlockStore>,
               "a file store owns its open log");
 
 TEST(FileStore, UnopenablePathThrows) {
@@ -250,7 +250,7 @@ TEST(FileStore, UnopenablePathThrows) {
           .string();
   const auto chain = make_chain(1);
   try {
-    FileBlockStore store(path);
+    BlockStore store(path);
     store.append(chain[0]);
     FAIL() << "no error for " << path;
   } catch (const std::runtime_error& e) {
@@ -261,21 +261,17 @@ TEST(FileStore, UnopenablePathThrows) {
 TEST(FileStore, ReadsCountTheRecordBytesOnDisk) {
   TempLog log("bytes-read");
   const auto chain = make_chain(9);
-  FileBlockStore store(log.path);
+  BlockStore store(log.path);
   for (const BlockPtr& b : chain) store.append(b);
   const std::uint64_t file_size = std::filesystem::file_size(log.path);
   store.replay([](const BlockPtr&) {});
   EXPECT_EQ(store.stats().bytes_read, file_size);
   EXPECT_EQ(store.stats().reads, chain.size());
 
-  // A reopened store counts the same bytes for the records it recovered,
-  // and a point read counts one record: header plus payload.
-  FileBlockStore reopened(log.path);
+  // A reopened store counts the same bytes for the records it recovered.
+  BlockStore reopened(log.path);
   reopened.replay([](const BlockPtr&) {});
   EXPECT_EQ(reopened.stats().bytes_read, file_size);
-  ASSERT_TRUE(reopened.read(chain[3]->hash()));
-  EXPECT_EQ(reopened.stats().bytes_read,
-            file_size + 16 + storage::encode_block(*chain[3]).size());
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +334,7 @@ TEST(RecordFormat, FileHoldsExactlyTheFramedRecords) {
   const BlockPtr b2 = varied_child(b1, 2, 3, 3);
   const BlockPtr b3 = varied_child(b2, 4, 11, 5);
   {
-    FileBlockStore store(log.path);
+    BlockStore store(log.path);
     for (const BlockPtr& b : {b1, b2, b3}) store.append(b);
   }
   // Per record: magic "BLK1" (u32), payload length (u32),
@@ -458,8 +454,8 @@ void expect_recovers(const std::string& path,
                      const std::vector<BlockPtr>& kept, std::size_t size,
                      const BlockPtr& next, const std::string& what) {
   SCOPED_TRACE(what);
-  std::unique_ptr<FileBlockStore> store;
-  ASSERT_NO_THROW(store = std::make_unique<FileBlockStore>(path));
+  std::unique_ptr<BlockStore> store;
+  ASSERT_NO_THROW(store = std::make_unique<BlockStore>(path));
   std::vector<crypto::Digest> replayed;
   store->replay([&](const BlockPtr& b) { replayed.push_back(b->hash()); });
   ASSERT_EQ(replayed.size(), kept.size());
@@ -470,7 +466,7 @@ void expect_recovers(const std::string& path,
 
   store->append(next);
   store.reset();
-  FileBlockStore again(path);
+  BlockStore again(path);
   replayed.clear();
   again.replay([&](const BlockPtr& b) { replayed.push_back(b->hash()); });
   ASSERT_EQ(replayed.size(), kept.size() + 1);
@@ -487,7 +483,7 @@ TEST(FileStoreMutation, RecoveryKeepsTheValidPrefixOfAnyCorruptedLog) {
     std::filesystem::remove(log.path);
     const auto chain = random_chain(rng);
     {
-      FileBlockStore store(log.path);
+      BlockStore store(log.path);
       for (const BlockPtr& b : chain) store.append(b);
     }
     const Bytes original = read_bytes(log.path);
@@ -552,7 +548,7 @@ TEST(FileStoreMutation, EditedPayloadsWithValidChecksumsReachTheDecoder) {
     std::filesystem::remove(log.path);
     const auto chain = random_chain(rng);
     {
-      FileBlockStore store(log.path);
+      BlockStore store(log.path);
       for (const BlockPtr& b : chain) store.append(b);
     }
     const Bytes original = read_bytes(log.path);
@@ -726,12 +722,12 @@ TEST(SharedFramer, StoresWriteTheBytesTheyWriteAlone) {
   };
   {
     storage::RecordFramer framer;
-    std::vector<std::unique_ptr<FileBlockStore>> shared;
-    std::vector<std::unique_ptr<FileBlockStore>> lone;
+    std::vector<std::unique_ptr<BlockStore>> shared;
+    std::vector<std::unique_ptr<BlockStore>> lone;
     for (std::size_t s = 0; s < kStores; ++s) {
       shared.push_back(
-          std::make_unique<FileBlockStore>(path("shared", s), &framer));
-      lone.push_back(std::make_unique<FileBlockStore>(path("lone", s)));
+          std::make_unique<BlockStore>(path("shared", s), &framer));
+      lone.push_back(std::make_unique<BlockStore>(path("lone", s)));
     }
     for (const auto& [s, b] : appends) shared[s]->append(b);
     for (const auto& [s, b] : appends) lone[s]->append(b);
@@ -794,7 +790,7 @@ TEST(SharedFramer, ClusterLogsEqualLoneStoresFedTheirBlocks) {
     EXPECT_GT(blocks.size(), 8u) << "replica " << id;
     const std::string lone_path = dir.file("lone" + std::to_string(id));
     {
-      FileBlockStore lone(lone_path);
+      BlockStore lone(lone_path);
       for (const BlockPtr& b : blocks) lone.append(b);
     }
     EXPECT_EQ(read_bytes(lone_path),

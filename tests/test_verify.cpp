@@ -383,5 +383,47 @@ TEST(VerifyPipeline, ForgedProposalCannotRideTheMemo) {
   EXPECT_EQ(r0.stats().votes_sent, votes);
 }
 
+TEST(VerifyPipeline, ForgedProposalCannotTakeTheEchoSlot) {
+  // Streamlet echoes a proposal once per (view, block hash). A forged copy
+  // that reaches a replica first must not be echoed in the genuine
+  // proposal's place: replica 0 alone receives both, and replica 1 must
+  // get the block through replica 0's echo of the genuine one.
+  core::Config cfg;
+  cfg.protocol = "streamlet";
+  cfg.n_replicas = 4;  // quorum 3
+  cfg.byz_no = 2;      // replicas 2 and 3 crash at start: no QC ever forms,
+  cfg.strategy = "crash";  // so every votable block extends genesis
+  cfg.seed = 5;
+  harness::Cluster cluster(cfg);
+  cluster.start();
+  cluster.simulator().run_for(sim::milliseconds(450));
+
+  const core::Replica& r0 = cluster.replica(0);
+  ASSERT_EQ(r0.forest().committed_height(), 0u);
+  // A view no live proposal reaches during the test.
+  const types::View view = r0.current_view() + 5;
+  const types::NodeId leader = cluster.election().leader(view);
+  types::Block::Fields fields;
+  fields.parent_hash = r0.forest().committed_tip()->hash();
+  fields.view = view;
+  fields.height = 1;
+  fields.proposer = leader;
+  types::ProposalMsg genuine;
+  genuine.block = std::make_shared<const types::Block>(std::move(fields));
+  genuine.sig = cluster.keys().sign(leader, genuine.block->hash());
+  types::ProposalMsg forged = genuine;
+  forged.sig.tag = crypto::Sha256::hash("garbage");
+  // Sent from a client host, so no other replica receives either copy.
+  const auto deliver = [&cluster, &cfg](const types::ProposalMsg& p) {
+    cluster.network().send(cfg.client_endpoint(0), 0, types::make_message(p));
+    cluster.simulator().run_for(sim::milliseconds(5));
+  };
+
+  deliver(forged);
+  deliver(genuine);
+  EXPECT_TRUE(r0.forest().contains(genuine.block->hash()));
+  EXPECT_TRUE(cluster.replica(1).forest().contains(genuine.block->hash()));
+}
+
 }  // namespace
 }  // namespace bamboo
