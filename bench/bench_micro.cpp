@@ -30,6 +30,7 @@
 #include "quorum/vote_aggregator.h"
 #include "sim/event_queue.h"
 #include "storage/block_store.h"
+#include "storage/crc32c.h"
 #include "sync/syncer.h"
 #include "util/rng.h"
 
@@ -89,6 +90,20 @@ const bool kSha256CompressRegistered = [] {
   }
   return true;
 }();
+
+// CRC32C over 4 KiB, about a record of a 120-transaction block.
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<std::uint8_t> data(4096);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::crc32c(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32c);
 
 void BM_SignVerify(benchmark::State& state) {
   crypto::KeyStore keys(1, 4);
@@ -211,20 +226,12 @@ void BM_ForestCommitPruneBelow(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestCommitPruneBelow)->Arg(64);
 
-// BlockStore::append, with a file log, of committed blocks with `range(0)`
-// transactions and a 3-signature justify QC. About 80 is the block size of
-// the perfbench fault workload, 400 that of the saturated LAN one. Each of
-// `n_stores` stores appends every block in turn; several share one
-// RecordFramer, as harness::Cluster builds them, so a lone store encodes,
-// checksums and writes each block, and the cluster path frames it once and
-// writes it n_stores times. One iteration is one block, and items count appends.
-// append() dedupes by hash, so the stores are recreated, outside the
-// timing, every time the 64 prebuilt blocks run out.
-void store_append(benchmark::State& state, std::size_t n_stores) {
-  constexpr std::size_t kBatch = 64;
+// A chain of `n` committed blocks from genesis with `txns` transactions
+// each and a 3-signature justify QC.
+std::vector<types::BlockPtr> store_chain(std::size_t n, std::size_t txns) {
   std::vector<types::BlockPtr> blocks;
   types::BlockPtr parent = types::Block::genesis();
-  for (std::size_t b = 0; b < kBatch; ++b) {
+  for (std::size_t b = 0; b < n; ++b) {
     types::Block::Fields f;
     f.parent_hash = parent->hash();
     f.view = b + 1;
@@ -236,7 +243,7 @@ void store_append(benchmark::State& state, std::size_t n_stores) {
       f.justify.sigs.push_back(
           crypto::Signature{signer, crypto::Sha256::hash("sig")});
     }
-    f.txns.resize(static_cast<std::size_t>(state.range(0)));
+    f.txns.resize(txns);
     for (std::size_t i = 0; i < f.txns.size(); ++i) {
       f.txns[i].id = b * f.txns.size() + i + 1;
       f.txns[i].session = static_cast<std::uint32_t>(i);
@@ -246,12 +253,33 @@ void store_append(benchmark::State& state, std::size_t n_stores) {
     parent = std::make_shared<const types::Block>(std::move(f));
     blocks.push_back(parent);
   }
+  return blocks;
+}
+
+/// A file-log path under the temp directory, unique to this process.
+std::string micro_store_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("bamboo-micro-store-" + std::to_string(::getpid()) + "-" + tag +
+           ".blk"))
+      .string();
+}
+
+// BlockStore::append, with a file log, of committed blocks with `range(0)`
+// transactions and a 3-signature justify QC. About 80 is the block size of
+// the perfbench fault workload, 400 that of the saturated LAN one. Each of
+// `n_stores` stores appends every block in turn; several share one
+// RecordFramer, as harness::Cluster builds them, so a lone store encodes,
+// checksums and writes each block, and the cluster path frames it once and
+// writes it n_stores times. One iteration is one block, and items count appends.
+// append() dedupes by hash, so the stores are recreated, outside the
+// timing, every time the 64 prebuilt blocks run out.
+void store_append(benchmark::State& state, std::size_t n_stores) {
+  constexpr std::size_t kBatch = 64;
+  const std::vector<types::BlockPtr> blocks =
+      store_chain(kBatch, static_cast<std::size_t>(state.range(0)));
   std::vector<std::string> paths;
   for (std::size_t i = 0; i < n_stores; ++i) {
-    paths.push_back((std::filesystem::temp_directory_path() /
-                     ("bamboo-micro-store-" + std::to_string(::getpid()) +
-                      "-" + std::to_string(i) + ".blk"))
-                        .string());
+    paths.push_back(micro_store_path(std::to_string(i)));
   }
   storage::RecordFramer framer;
   std::vector<std::unique_ptr<storage::BlockStore>> stores(n_stores);
@@ -285,6 +313,35 @@ void BM_ClusterStoreAppend(benchmark::State& state) {
   store_append(state, 7);
 }
 BENCHMARK(BM_ClusterStoreAppend)->Arg(80);
+
+// BlockStore::replay of a file log of 1,000 committed blocks with
+// `range(0)` transactions: the crash-restart read path, which streams the
+// file through one record buffer, checks each record's CRC32C and decodes
+// (and so hashes) each block. Items count replayed blocks.
+void BM_StoreReplay(benchmark::State& state) {
+  constexpr std::size_t kBlocks = 1000;
+  const std::string path = micro_store_path("replay");
+  std::filesystem::remove(path);
+  {
+    storage::BlockStore store(path);
+    for (const types::BlockPtr& block :
+         store_chain(kBlocks, static_cast<std::size_t>(state.range(0)))) {
+      store.append(block);
+    }
+  }
+  storage::BlockStore store(path);
+  std::size_t replayed = 0;
+  for (auto _ : state) {
+    store.replay([&replayed](const types::BlockPtr&) { ++replayed; });
+  }
+  if (replayed != kBlocks * static_cast<std::size_t>(state.iterations())) {
+    state.SkipWithError("replay lost blocks");
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBlocks));
+}
+BENCHMARK(BM_StoreReplay)->Arg(80);
 
 // Broadcast fan-out: one sender fanning a vote (arg 0) or a proposal of
 // 400 transactions (arg 1) to 31 peers through the NIC queues, link

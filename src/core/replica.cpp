@@ -368,10 +368,30 @@ void Replica::dispatch(const net::Envelope& env) {
     on_proposal(p, env.from, false);
   } else if (std::holds_alternative<types::VoteMsg>(msg)) {
     const auto& vote = std::get<types::VoteMsg>(msg);
-    if (safety_->echo_messages()) echo(env.msg, vote.view, vote.sig.tag);
-    on_vote(vote, env.from);
+    // Checked before the echo, so a forged vote is not rebroadcast. A copy
+    // of a counted vote (Streamlet echoes each vote n times) is one add()
+    // would ignore, so it skips the HMAC and on_vote, unless it would take
+    // an echo slot: that is a replica's own vote coming back, or a forged
+    // tag (has_vote does not compare tags).
+    const bool counted = votes_.has_vote(vote);
+    const bool echo_it = safety_->echo_messages() &&
+                         !echoed(vote.view, vote.sig.tag);
+    if ((!counted || echo_it) &&
+        !keys_.verify(vote.sig,
+                      types::vote_digest(vote.view, vote.block_hash))) {
+      return;
+    }
+    if (echo_it) echo(env.msg, vote.view, vote.sig.tag);
+    if (!counted) on_vote(vote, env.from);
   } else if (std::holds_alternative<types::TimeoutMsg>(msg)) {
     const auto& t = std::get<types::TimeoutMsg>(msg);
+    // The signature and the embedded high QC are checked before the echo,
+    // and before the timeout advances anything: a forged certificate
+    // invalidates the whole timeout message.
+    if (!keys_.verify(t.sig, types::timeout_digest(t.view, t.high_qc.view)) ||
+        !verify_qc(t.high_qc)) {
+      return;
+    }
     if (safety_->echo_messages()) echo(env.msg, t.view, t.sig.tag);
     on_timeout_msg(t, env.from);
   } else if (std::holds_alternative<types::TcMsg>(msg)) {
@@ -397,6 +417,11 @@ void Replica::on_qc_msg(const types::QcMsg& m, NodeId from) {
   if (m.qc.is_genesis() || !verify_qc(m.qc)) return;
   note_public_qc(m.qc);
   process_qc(m.qc, from);
+}
+
+bool Replica::echoed(View view, const crypto::Digest& dedup_key) const {
+  const auto* seen = echo_seen_.find(view);
+  return seen != nullptr && seen->contains(dedup_key);
 }
 
 void Replica::echo(const MessagePtr& msg, View view,
@@ -549,16 +574,9 @@ void Replica::maybe_vote(const types::ProposalMsg& p) {
 }
 
 void Replica::on_vote(const types::VoteMsg& v, NodeId from) {
-  // An exact copy of a counted vote (Streamlet echoes each vote n times) is
-  // one add() would ignore: drop it before hashing and checking its tag.
-  // Its simulated CPU was charged at enqueue (cost_of), so nothing
-  // simulated changes. A different block from the same voter still goes
-  // through verification, so only verified equivocations are counted.
-  if (votes_.has_vote(v)) return;
-  if (from != id_ &&
-      !keys_.verify(v.sig, types::vote_digest(v.view, v.block_hash))) {
-    return;
-  }
+  // Verified and not yet counted (dispatch checks both), or this replica's
+  // own vote. A different block from the same voter was verified too, so
+  // only verified equivocations are counted.
   if (auto qc = votes_.add(v)) {
     // Multi-leader: single-leader protocols disseminate a fresh QC inside
     // the next proposal, but a slot leader's successor may already have
@@ -654,6 +672,10 @@ void Replica::do_commit(const crypto::Digest& target) {
     if (!mine.empty()) mempool_.recycle(mine);
   }
 
+  prune_retained();
+}
+
+void Replica::prune_retained() {
   // Retention pruning: cap the in-memory forest to the last `retention`
   // committed blocks; older bodies live only in the store (0 = keep all).
   if (cfg_.retention > 0 && forest_.committed_height() > cfg_.retention) {
@@ -666,26 +688,26 @@ void Replica::reload_from_store() {
   // Append-order replay: each record connects to the already-rebuilt prefix
   // unless the log has a snapshot hole (blocks after an installed anchor
   // whose gap bodies were never fetched) — those buffer as orphans and
-  // reconnect via live sync once the gap closes again.
-  BlockPtr best;
-  store_->replay([this, &best](const BlockPtr& block) {
+  // reconnect via live sync once the gap closes again. A block that
+  // connects above the committed tip commits at once, and retention prunes
+  // behind it, so from a log without a hole the forest never holds more of
+  // the log than a live replica would. After a hole it does: every later
+  // block is an orphan, and nothing bounds the orphans (ROADMAP item 2's
+  // orphan-buffer bound would). The log is one committed chain, so this
+  // ends where adding all of it, committing the deepest block and pruning
+  // once would.
+  // Commits here raise no events and count nothing: the pre-crash instance
+  // already counted them and answered their clients.
+  store_->replay([this](const BlockPtr& block) {
     if (!block || block->is_genesis()) return;
     if (forest_.add(block) != forest::AddResult::kAdded) return;
     // Each block's justify certifies its parent; restoring them makes the
     // rebuilt replica able to serve chain-sync (and snapshots) again.
     forest_.add_qc(block->justify());
-    if (!best || block->height() > best->height()) best = block;
+    if (block->height() <= forest_.committed_height()) return;
+    forest_.commit(block->hash());
+    prune_retained();
   });
-  if (!best) return;
-  // Commit the recovered prefix directly (no events / stats: the pre-crash
-  // instance already counted these commits and answered their clients).
-  forest_.commit(best->hash());
-  if (const types::QuorumCert* qc = forest_.qc_for(best->hash())) {
-    forest_.add_qc(*qc);
-  }
-  if (cfg_.retention > 0 && forest_.committed_height() > cfg_.retention) {
-    forest_.prune_below(forest_.committed_height() - cfg_.retention);
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -723,14 +745,7 @@ types::QuorumCert Replica::reported_high_qc() const {
 }
 
 void Replica::on_timeout_msg(const types::TimeoutMsg& t, NodeId from) {
-  if (from != id_ &&
-      !keys_.verify(t.sig, types::timeout_digest(t.view, t.high_qc.view))) {
-    return;
-  }
-  // The embedded high_qc must verify before it advances anything — and
-  // before the timeout counts toward a TC or the f+1 early join, since a
-  // forged certificate invalidates the whole timeout message.
-  if (from != id_ && !verify_qc(t.high_qc)) return;
+  // Verified by dispatch (signature and high QC), or this replica's own.
   if (from != id_) note_public_qc(t.high_qc);
   process_qc(t.high_qc, from);
 

@@ -135,9 +135,10 @@ class Replica {
   void set_store(storage::BlockStore* store) { store_ = store; }
 
   /// Crash-restart recovery: rebuild the committed chain from the attached
-  /// store (append-order replay, then commit the deepest connected block).
-  /// Blocks after a snapshot hole stay buffered as orphans and reconnect
-  /// via live sync. Call after set_store() and before start().
+  /// store (append-order replay, committing each block that connects deeper
+  /// and pruning to the `retention` window as it goes). Blocks after a
+  /// snapshot hole stay buffered as orphans and reconnect via live sync.
+  /// Call after set_store() and before start().
   void reload_from_store();
 
   /// Switch the Byzantine strategy at runtime (the Fig. 15 experiment
@@ -244,9 +245,14 @@ class Replica {
   void process_qc(const types::QuorumCert& qc, types::NodeId from);
   void apply_qc(const types::QuorumCert& qc);
   void do_commit(const crypto::Digest& target);
+  /// Drop committed forest vertices below the `retention` window.
+  void prune_retained();
   void broadcast_timeout(types::View view);
   void handle_tc(const types::TimeoutCert& tc);
   void request_block(const crypto::Digest& hash, types::NodeId from);
+  /// Whether echo() already forwarded a message under this key and view.
+  [[nodiscard]] bool echoed(types::View view,
+                            const crypto::Digest& dedup_key) const;
   void echo(const types::MessagePtr& msg, types::View view,
             const crypto::Digest& dedup_key);
   void retry_pending_proposals();

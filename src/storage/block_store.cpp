@@ -1,17 +1,19 @@
 #include "storage/block_store.h"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
+
+#include "storage/crc32c.h"
 
 namespace bamboo::storage {
 namespace {
 
-constexpr std::uint32_t kRecordMagic = 0x314b4c42;  // "BLK1"
+constexpr std::uint32_t kRecordMagic = 0x324b4c42;  // "BLK2": crc32c
 constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8;
 
 // Payload sizes: the block's own fields (56 bytes), its justify QC's (56)
@@ -21,8 +23,7 @@ constexpr std::size_t kBlockFixedBytes = 56 + 56 + 4;
 constexpr std::size_t kSigBytes = 4 + 32;
 constexpr std::size_t kTxBytes = 8 + 4 + 4 + 4 + 8 + 4;
 
-/// Payload bytes of encode_block(b). Replays count a record's length from
-/// it, without re-encoding the block.
+/// Payload bytes of encode_block(b).
 std::size_t encoded_size(const types::Block& b) {
   return kBlockFixedBytes + kSigBytes * b.justify().sigs.size() +
          kTxBytes * b.txns().size();
@@ -143,15 +144,6 @@ types::QuorumCert decode_qc(Reader& r) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::vector<std::uint8_t> encode_block(const types::Block& b) {
   std::vector<std::uint8_t> out(encoded_size(b));
   Writer w{out.data()};
@@ -191,7 +183,7 @@ types::BlockPtr decode_block(const std::uint8_t* data, std::size_t len) {
 
 std::span<const std::uint8_t> RecordFramer::frame(
     const types::BlockPtr& block) {
-  if (framed_ != block) {
+  if (framed_.owner_before(block) || block.owner_before(framed_)) {
     framed_.reset();
     // Header and payload are encoded in place in one reusable buffer; the
     // checksum covers the payload where it lies.
@@ -204,7 +196,7 @@ std::span<const std::uint8_t> RecordFramer::frame(
     Writer header{record_.data()};
     header.u32(kRecordMagic);
     header.u32(static_cast<std::uint32_t>(payload_len));
-    header.u64(fnv1a64(payload, payload_len));
+    header.u64(crc32c(payload, payload_len));
     framed_ = block;
   }
   return {record_.data(), record_len_};
@@ -216,51 +208,65 @@ BlockStore::BlockStore(std::string path, RecordFramer* framer)
     : path_(std::move(path)),
       own_framer_(framer ? nullptr : std::make_unique<RecordFramer>()),
       framer_(framer ? framer : own_framer_.get()) {
-  recover();
+  scan(nullptr);
   // One descriptor for the store's lifetime. Unbuffered, so each append's
-  // record reaches the OS in one write.
+  // record reaches the OS in one write; append mode, so a scan that cuts
+  // the file leaves the next write at its new end.
   out_.reset(std::fopen(path_.c_str(), "ab"));
   if (!out_) throw std::runtime_error("block store: cannot open " + path_);
   std::setvbuf(out_.get(), nullptr, _IONBF, 0);
 }
 
-void BlockStore::recover() {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.is_open()) return;  // fresh store
-  std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
-  in.close();
+void BlockStore::scan(const std::function<void(const types::BlockPtr&)>& fn) {
+  index_.clear();
+  std::unique_ptr<std::FILE, FileCloser> in(std::fopen(path_.c_str(), "rb"));
+  if (!in) return;  // fresh store
+  std::error_code ec;
+  const std::uint64_t size = std::filesystem::file_size(path_, ec);
+  if (ec) return;
 
-  std::size_t at = 0;
-  std::size_t good_end = 0;
-  while (at + kRecordHeaderBytes <= file.size()) {
-    Reader hdr{file.data() + at, kRecordHeaderBytes};
+  std::array<std::uint8_t, kRecordHeaderBytes> bytes{};
+  std::vector<std::uint8_t> payload;  // the one record buffer, reused
+  std::uint64_t at = 0;
+  while (size - at >= kRecordHeaderBytes &&
+         std::fread(bytes.data(), 1, bytes.size(), in.get()) == bytes.size()) {
+    Reader hdr{bytes.data(), bytes.size()};
     const std::uint32_t magic = hdr.u32();
     const std::uint32_t plen = hdr.u32();
     const std::uint64_t sum = hdr.u64();
     if (magic != kRecordMagic) break;
-    if (at + kRecordHeaderBytes + plen > file.size()) break;  // torn tail
-    const std::uint8_t* payload = file.data() + at + kRecordHeaderBytes;
-    if (fnv1a64(payload, plen) != sum) break;  // bit rot / torn write
+    if (plen > size - at - kRecordHeaderBytes) break;  // torn tail
+    payload.resize(plen);
+    // The checksum slot holds the CRC32C zero-extended, so a slot whose
+    // upper half is not zero fails too.
+    if (std::fread(payload.data(), 1, plen, in.get()) != plen ||
+        sum != crc32c(payload.data(), plen)) {
+      break;  // bit rot / torn write
+    }
     types::BlockPtr block;
     try {
-      block = decode_block(payload, plen);
+      block = decode_block(payload.data(), plen);
     } catch (const std::invalid_argument&) {
       break;  // checksum collided with garbage; stop at the last good record
     }
-    if (!index_.contains(block->hash())) {
-      index_.emplace(block->hash(), log_.size());
-      log_.push_back(std::move(block));
-    }
     at += kRecordHeaderBytes + plen;
-    good_end = at;
+    if (!index_.insert(block->hash()).second) continue;  // the first wins
+    if (fn) {
+      ++stats_.reads;
+      stats_.bytes_read += kRecordHeaderBytes + plen;
+      fn(block);
+    }
   }
-  // Drop the corrupt tail on disk too, so future appends extend the valid
-  // prefix instead of burying good records behind garbage.
-  if (good_end < file.size()) {
-    std::error_code ec;
-    std::filesystem::resize_file(path_, good_end, ec);
-  }
+  if (at == size) return;
+
+  // Cut the failed record and everything after it, so future appends
+  // extend the valid prefix instead of burying good records behind
+  // garbage. Past a failed record the framing means nothing, so the cut
+  // counts as one record.
+  ++stats_.records_dropped;
+  stats_.bytes_dropped += size - at;
+  in.reset();
+  std::filesystem::resize_file(path_, at, ec);
 }
 
 void BlockStore::append(const types::BlockPtr& block) {
@@ -273,9 +279,10 @@ void BlockStore::append(const types::BlockPtr& block) {
         std::fflush(out_.get()) != 0)
       throw std::runtime_error("block store: short write to " + path_);
     written = record.size();
+  } else {
+    log_.push_back(block);
   }
-  index_.emplace(block->hash(), log_.size());
-  log_.push_back(block);
+  index_.insert(block->hash());
   ++stats_.appends;
   stats_.bytes_written += written;
   stats_.logical_bytes += block->wire_size();
@@ -283,10 +290,13 @@ void BlockStore::append(const types::BlockPtr& block) {
 
 void BlockStore::replay(
     const std::function<void(const types::BlockPtr&)>& fn) {
+  if (out_) {
+    scan(fn);
+    return;
+  }
   for (const types::BlockPtr& block : log_) {
     ++stats_.reads;
-    stats_.bytes_read += out_ ? kRecordHeaderBytes + encoded_size(*block)
-                              : block->wire_size();
+    stats_.bytes_read += block->wire_size();
     fn(block);
   }
 }

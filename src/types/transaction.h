@@ -14,9 +14,13 @@ inline constexpr std::uint64_t kTxOverheadBytes = 150;
 
 /// A client transaction. The simulation carries no application payload
 /// bytes, only their size (payload content never affects control flow;
-/// Bamboo's execution layer is an in-memory KV store).
+/// Bamboo's execution layer is an in-memory KV store). The two 8-byte
+/// fields lead, so the struct packs into 32 bytes with no padding; retained
+/// blocks and mempools are mostly transactions.
 struct Transaction {
   TxId id = 0;
+  /// Client-side submission timestamp (for end-to-end latency).
+  sim::Time submitted_at = 0;
   /// Workload session that issued the transaction (for closed-loop clients).
   std::uint32_t session = 0;
   /// Replica the client submitted to; the one that will respond.
@@ -24,8 +28,6 @@ struct Transaction {
   /// Network endpoint of the client host that issued the transaction
   /// (where the commit confirmation is sent).
   NodeId client_endpoint = 0;
-  /// Client-side submission timestamp (for end-to-end latency).
-  sim::Time submitted_at = 0;
   /// Payload size in bytes (Table I "psize").
   std::uint32_t payload_size = 0;
 
@@ -43,5 +45,6 @@ struct Transaction {
 
   friend bool operator==(const Transaction&, const Transaction&) = default;
 };
+static_assert(sizeof(Transaction) == 32);
 
 }  // namespace bamboo::types

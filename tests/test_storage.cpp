@@ -1,10 +1,12 @@
 // Tests for the durable ledger subsystem (storage/block_store.h): the
-// block codec, the store with and without a file log (append/replay, hash
-// dedup, byte accounting), the exact bytes of the file log's
-// records, torn-write recovery of the file log, stores sharing one record
+// block codec, the CRC32C kernel, the store with and without a file log
+// (append/replay, hash dedup, byte accounting, which of them pins its
+// blocks), the exact bytes of the file log's records, torn-write recovery
+// of the file log and the drops it counts, stores sharing one record
 // framer writing the bytes they write alone, and the end-to-end
 // crash-restart path through the harness — a replica rebuilt from the
-// store it appended to before it died, with the disk accounting columns
+// store it appended to before it died (also from a log torn while it was
+// down), with its forest bounded by retention, the disk accounting columns
 // populated and deterministic across thread counts.
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -24,11 +27,13 @@
 #include <vector>
 
 #include "client/workload.h"
+#include "forest/block_forest.h"
 #include "harness/cluster.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "storage/block_store.h"
+#include "storage/crc32c.h"
 #include "types/block.h"
 #include "util/hex.h"
 #include "util/rng.h"
@@ -99,6 +104,20 @@ struct TempLog {
   const std::string path;
 };
 
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 // ---------------------------------------------------------------------------
 // Block codec
 // ---------------------------------------------------------------------------
@@ -128,6 +147,56 @@ TEST(BlockCodec, RejectsTruncatedAndEmptyPayloads) {
         static_cast<void>(storage::decode_block(payload.data(), keep)),
         std::invalid_argument)
         << "kept " << keep << " of " << payload.size();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C
+// ---------------------------------------------------------------------------
+
+/// CRC32C one bit at a time, straight from the definition.
+std::uint32_t crc32c_bitwise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t crc = 0xffffffff;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) != 0 ? (crc >> 1) ^ 0x82f63b78 : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32c, MatchesRfc3720AndTheBitwiseDefinition) {
+  const std::string_view check = "123456789";
+  const std::vector<std::uint8_t> check_bytes(check.begin(), check.end());
+  std::vector<std::uint8_t> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+  }
+  // RFC 3720 §B.4 and the CRC catalogue's check value.
+  const std::vector<std::pair<std::vector<std::uint8_t>, std::uint32_t>>
+      vectors = {{check_bytes, 0xe3069283},
+                 {std::vector<std::uint8_t>(32, 0x00), 0x8a9136aa},
+                 {std::vector<std::uint8_t>(32, 0xff), 0x62a8ab43},
+                 {ascending, 0x46dd794e},
+                 {{}, 0x00000000}};
+  for (const auto& [data, crc] : vectors) {
+    EXPECT_EQ(storage::crc32c(data.data(), data.size()), crc);
+  }
+
+  // Random lengths (every tail length below 8) at random offsets, so the
+  // slicing kernel's 8-byte steps start unaligned too.
+  util::Rng rng(3720);
+  std::vector<std::uint8_t> buffer(600);
+  for (std::uint8_t& byte : buffer) {
+    byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto offset = static_cast<std::size_t>(rng.uniform_u64(16));
+    const auto len = static_cast<std::size_t>(rng.uniform_u64(560));
+    EXPECT_EQ(storage::crc32c(buffer.data() + offset, len),
+              crc32c_bitwise(buffer.data() + offset, len))
+        << "offset " << offset << ", length " << len;
   }
 }
 
@@ -211,7 +280,7 @@ TEST(FileStore, ChecksumMismatchRejectsTheCorruptedSuffix) {
     for (const BlockPtr& b : chain) store.append(b);
   }
   // Flip the last payload byte: length and magic still parse, but the
-  // FNV-1a checksum catches the rot and recovery stops at record 4.
+  // checksum catches the rot and recovery stops at record 4.
   {
     std::fstream f(log.path,
                    std::ios::in | std::ios::out | std::ios::binary);
@@ -237,6 +306,27 @@ TEST(StoreFactory, MakesBothKindsAndRejectsUnknown) {
   EXPECT_TRUE(std::filesystem::exists(log.path));
   EXPECT_THROW(static_cast<void>(storage::make_store("cloud", "")),
                std::invalid_argument);
+}
+
+TEST(FileStore, DoesNotPinAppendedBlocks) {
+  // A file store's blocks live in its log: once the caller drops a block
+  // it appended, the block is freed. The memory store keeps every block.
+  TempLog log("pin");
+  BlockStore file(log.path);
+  BlockStore memory;
+  std::weak_ptr<const types::Block> in_file;
+  std::weak_ptr<const types::Block> in_memory;
+  {
+    const auto chain = make_chain(2);
+    file.append(chain[0]);
+    memory.append(chain[1]);
+    in_file = chain[0];
+    in_memory = chain[1];
+  }
+  EXPECT_TRUE(in_file.expired());
+  EXPECT_FALSE(in_memory.expired());
+  EXPECT_EQ(file.size(), 1u);
+  EXPECT_EQ(replayed_hashes(file).size(), 1u);
 }
 
 static_assert(!std::is_copy_constructible_v<BlockStore> &&
@@ -278,11 +368,6 @@ TEST(FileStore, ReadsCountTheRecordBytesOnDisk) {
 // On-disk record format
 // ---------------------------------------------------------------------------
 
-std::uint64_t fnv_of(std::string_view text) {
-  return storage::fnv1a64(reinterpret_cast<const std::uint8_t*>(text.data()),
-                          text.size());
-}
-
 void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i)
     out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -322,12 +407,6 @@ BlockPtr varied_child(const BlockPtr& parent, types::View view,
   return std::make_shared<const types::Block>(std::move(f));
 }
 
-TEST(RecordFormat, Fnv1a64MatchesPublishedVectors) {
-  EXPECT_EQ(fnv_of(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(fnv_of("a"), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(fnv_of("foobar"), 0x85944171f73967e8ull);
-}
-
 TEST(RecordFormat, FileHoldsExactlyTheFramedRecords) {
   TempLog log("format");
   const BlockPtr b1 = varied_child(types::Block::genesis(), 1, 0, 0);
@@ -337,18 +416,19 @@ TEST(RecordFormat, FileHoldsExactlyTheFramedRecords) {
     BlockStore store(log.path);
     for (const BlockPtr& b : {b1, b2, b3}) store.append(b);
   }
-  // Per record: magic "BLK1" (u32), payload length (u32),
-  // fnv1a64(payload) (u64), payload = encode_block(b); little-endian.
+  // Per record: magic "BLK2" (u32), payload length (u32),
+  // crc32c(payload) zero-extended (u64), payload = encode_block(b);
+  // little-endian.
   std::vector<std::uint8_t> expected;
   for (const BlockPtr& b : {b1, b2, b3}) {
     const std::vector<std::uint8_t> payload = storage::encode_block(*b);
-    put_le(expected, 0x314b4c42, 4);
+    put_le(expected, 0x324b4c42, 4);
     put_le(expected, payload.size(), 4);
-    put_le(expected, storage::fnv1a64(payload.data(), payload.size()), 8);
+    put_le(expected, storage::crc32c(payload.data(), payload.size()), 8);
     expected.insert(expected.end(), payload.begin(), payload.end());
   }
   EXPECT_EQ(expected[0], 'B');
-  EXPECT_EQ(expected[3], '1');
+  EXPECT_EQ(expected[3], '2');
   std::ifstream in(log.path, std::ios::binary);
   const std::vector<std::uint8_t> on_disk(
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
@@ -408,20 +488,6 @@ TEST(RecordFormat, BlockEncodingIsPinned) {
 // Byte-level mutation of the file log
 // ---------------------------------------------------------------------------
 
-using Bytes = std::vector<std::uint8_t>;
-
-Bytes read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return Bytes((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-}
-
-void write_bytes(const std::string& path, const Bytes& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
 /// A chain of 1..12 blocks with random signature and transaction counts.
 std::vector<BlockPtr> random_chain(util::Rng& rng) {
   std::vector<BlockPtr> chain;
@@ -473,9 +539,96 @@ void expect_recovers(const std::string& path,
   EXPECT_EQ(replayed.back(), next->hash());
 }
 
+TEST(FileStoreMutation, RecoveryCountsWhatItDrops) {
+  // A torn tail drops the torn record; a flipped payload byte drops its
+  // record and every intact record after it. Each cut counts as one
+  // record, and its bytes run to the end of the file. The dropped blocks
+  // leave the hash index, so appending them again writes them again.
+  TempLog log("drops");
+  const auto chain = make_chain(5);
+  {
+    BlockStore store(log.path);
+    for (const BlockPtr& b : chain) store.append(b);
+  }
+  const std::vector<std::size_t> ends = record_ends(chain);
+  ASSERT_EQ(std::filesystem::file_size(log.path), ends[4]);
+
+  std::filesystem::resize_file(log.path, ends[4] - 7);
+  {
+    BlockStore torn(log.path);
+    EXPECT_EQ(torn.stats().records_dropped, 1u);
+    EXPECT_EQ(torn.stats().bytes_dropped, ends[4] - 7 - ends[3]);
+    EXPECT_EQ(torn.size(), 4u);
+    EXPECT_EQ(std::filesystem::file_size(log.path), ends[3]);
+  }
+
+  Bytes bytes = read_bytes(log.path);
+  bytes[ends[1] + 16 + 40] ^= 0x10;  // in record 2's payload
+  write_bytes(log.path, bytes);
+  BlockStore flipped(log.path);
+  EXPECT_EQ(flipped.stats().records_dropped, 1u);
+  EXPECT_EQ(flipped.stats().bytes_dropped, ends[3] - ends[1]);
+  EXPECT_EQ(flipped.size(), 2u);
+  EXPECT_EQ(std::filesystem::file_size(log.path), ends[1]);
+  for (std::size_t i = 2; i < chain.size(); ++i) flipped.append(chain[i]);
+  EXPECT_EQ(flipped.stats().appends, 3u);
+  EXPECT_EQ(replayed_hashes(flipped), hashes_of(chain));
+}
+
+TEST(FileStoreMutation, LogOfTheFirstFormatIsCutAndCounted) {
+  // Only "BLK2" records are read. A log whose records carry the first
+  // format's magic ("BLK1") fails at its first record, so the scan cuts
+  // the whole file and counts it as one dropped record.
+  TempLog log("first-format");
+  const auto chain = make_chain(3);
+  {
+    BlockStore store(log.path);
+    for (const BlockPtr& b : chain) store.append(b);
+  }
+  Bytes bytes = read_bytes(log.path);
+  const std::uint64_t size = bytes.size();
+  bytes[3] = '1';
+  write_bytes(log.path, bytes);
+  BlockStore store(log.path);
+  EXPECT_TRUE(store.empty());
+  EXPECT_EQ(store.stats().records_dropped, 1u);
+  EXPECT_EQ(store.stats().bytes_dropped, size);
+  EXPECT_EQ(std::filesystem::file_size(log.path), 0u);
+}
+
+TEST(FileStoreMutation, ReplayRescansTheFileAndCountsWhatItDrops) {
+  // An open store's log is damaged behind its back (a flipped byte in
+  // record 3, record 5 torn): replay serves the records before the damage,
+  // counts and cuts the rest, and the store appends the lost blocks again.
+  TempLog log("replay-drops");
+  const auto chain = make_chain(6);
+  BlockStore store(log.path);
+  for (const BlockPtr& b : chain) store.append(b);
+  const std::vector<std::size_t> ends = record_ends(chain);
+  Bytes bytes = read_bytes(log.path);
+  bytes[ends[2] + 16 + 9] ^= 0x01;
+  bytes.resize(ends[5] - 5);
+  write_bytes(log.path, bytes);
+
+  EXPECT_EQ(replayed_hashes(store),
+            hashes_of(std::vector<BlockPtr>(chain.begin(), chain.begin() + 3)));
+  EXPECT_EQ(store.stats().reads, 3u);
+  EXPECT_EQ(store.stats().bytes_read, ends[2]);
+  EXPECT_EQ(store.stats().records_dropped, 1u);  // the cut at record 3
+  EXPECT_EQ(store.stats().bytes_dropped, ends[5] - 5 - ends[2]);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(std::filesystem::file_size(log.path), ends[2]);
+
+  for (const BlockPtr& b : chain) store.append(b);
+  EXPECT_EQ(store.stats().appends, chain.size() + 3);
+  BlockStore reopened(log.path);
+  EXPECT_EQ(replayed_hashes(reopened), hashes_of(chain));
+  EXPECT_EQ(reopened.stats().records_dropped, 0u);
+}
+
 TEST(FileStoreMutation, RecoveryKeepsTheValidPrefixOfAnyCorruptedLog) {
   // Flip, overwrite or cut random bytes anywhere in a log. The first
-  // changed byte breaks its record: the magic, the length or the FNV-1a
+  // changed byte breaks its record: the magic, the length or the CRC32C
   // checksum no longer match. Recovery keeps exactly the records before it.
   TempLog log("mutate-bytes");
   util::Rng rng(1801);
@@ -598,9 +751,9 @@ TEST(FileStoreMutation, EditedPayloadsWithValidChecksumsReachTheDecoder) {
 
     Bytes mutated(original.begin(),
                   original.begin() + static_cast<long>(begin));
-    put_le(mutated, 0x314b4c42, 4);
+    put_le(mutated, 0x324b4c42, 4);
     put_le(mutated, payload.size(), 4);
-    put_le(mutated, storage::fnv1a64(payload.data(), payload.size()), 8);
+    put_le(mutated, storage::crc32c(payload.data(), payload.size()), 8);
     mutated.insert(mutated.end(), payload.begin(), payload.end());
     mutated.insert(mutated.end(), original.begin() + static_cast<long>(ends[k]),
                    original.end());
@@ -802,6 +955,248 @@ TEST(SharedFramer, ClusterLogsEqualLoneStoresFedTheirBlocks) {
 // ---------------------------------------------------------------------------
 // End-to-end: crash-restart recovery from the durable store
 // ---------------------------------------------------------------------------
+
+/// A file-store cluster with a closed-loop client workload, built but not
+/// started: `cfg` fills in everything else.
+struct FileStoreCluster {
+  explicit FileStoreCluster(core::Config cfg)
+      : cluster(std::move(cfg)),
+        driver(cluster.simulator(), cluster.network(), cluster.config(),
+               workload()) {
+    driver.install();
+    harness::install_churn(cluster,
+                           harness::effective_churn({}, cluster.config()));
+  }
+  static client::WorkloadConfig workload() {
+    client::WorkloadConfig wl;
+    wl.mode = client::LoadMode::kClosedLoop;
+    wl.concurrency = 64;
+    return wl;
+  }
+  void start() {
+    cluster.start();
+    driver.start();
+  }
+  void run_for(double seconds) {
+    cluster.simulator().run_for(sim::from_seconds(seconds));
+  }
+  harness::Cluster cluster;
+  client::WorkloadDriver driver;
+};
+
+core::Config file_store_config(const std::string& protocol,
+                               std::uint32_t n) {
+  core::Config cfg;
+  cfg.protocol = protocol;
+  cfg.n_replicas = n;
+  cfg.bsize = 100;
+  cfg.memsize = 200000;
+  cfg.seed = 47;
+  cfg.store = "file";
+  cfg.sync_batch = 8;
+  cfg.sync_timeout = sim::milliseconds(80);
+  cfg.sync_retries = 4;
+  return cfg;
+}
+
+/// Offset just past each whole record of a file log's bytes.
+std::vector<std::size_t> file_record_ends(const Bytes& bytes) {
+  std::vector<std::size_t> ends;
+  std::size_t at = 0;
+  while (bytes.size() - at >= 16) {
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<std::uint32_t>(
+                 bytes[at + 4 + static_cast<std::size_t>(i)])
+             << (8 * i);
+    }
+    if (len > bytes.size() - at - 16) break;
+    at += 16 + len;
+    ends.push_back(at);
+  }
+  return ends;
+}
+
+TEST(StorageRecovery, LogTornWhileDownRecoversItsValidPrefix) {
+  // A replica's log is cut in the middle of a record while the replica is
+  // down. The restart must rebuild exactly the records before the cut and
+  // count the torn one as dropped; then the replica catches up through
+  // chain sync, re-appends what the cut lost, and stays consistent.
+  TempDir dir("torn-while-down");
+  core::Config cfg = file_store_config("2chs", 4);
+  cfg.store_path = dir.path;
+  FileStoreCluster run(cfg);
+  run.start();
+  run.run_for(0.3);
+  run.cluster.crash_replica(3);
+  const types::Height crashed_at =
+      run.cluster.replica(3).forest().committed_height();
+  run.run_for(0.1);
+
+  const std::string path = dir.file("replica3.blk");
+  const Bytes bytes = read_bytes(path);
+  const std::vector<std::size_t> ends = file_record_ends(bytes);
+  ASSERT_EQ(ends.size(), crashed_at);  // the log is the chain from height 1
+  ASSERT_EQ(ends.back(), bytes.size());
+  ASSERT_GT(ends.size(), 10u);
+  const std::size_t kept = ends.size() / 2;
+  const std::size_t cut = ends[kept - 1] + (ends[kept] - ends[kept - 1]) / 2;
+  write_bytes(path, Bytes(bytes.begin(), bytes.begin() + static_cast<long>(cut)));
+  std::vector<crypto::Digest> expected;
+  for (std::size_t i = 0; i < kept; ++i) {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    expected.push_back(storage::decode_block(bytes.data() + begin + 16,
+                                             ends[i] - begin - 16)
+                           ->hash());
+  }
+
+  run.cluster.restart_replica(3);
+  const forest::BlockForest& rebuilt = run.cluster.replica(3).forest();
+  ASSERT_EQ(rebuilt.committed_height(), kept);
+  for (std::size_t h = 1; h <= kept; ++h) {
+    EXPECT_EQ(rebuilt.committed_hash_at(h), expected[h - 1]) << h;
+  }
+  const storage::StoreStats& stats = run.cluster.store(3).stats();
+  EXPECT_EQ(stats.records_dropped, 1u);
+  EXPECT_EQ(stats.bytes_dropped, cut - ends[kept - 1]);
+  EXPECT_EQ(stats.reads, kept);
+  EXPECT_EQ(run.cluster.store(3).size(), kept);
+  EXPECT_EQ(std::filesystem::file_size(path), ends[kept - 1]);
+
+  run.run_for(0.6);
+  const core::Replica& back = run.cluster.replica(3);
+  EXPECT_GT(back.sync_stats().blocks_applied, 0u);
+  EXPECT_GT(back.forest().committed_height(), crashed_at);
+  EXPECT_TRUE(run.cluster.check_consistency().consistent);
+  // The log holds the chain again: the lost blocks re-committed through
+  // sync and were appended after the valid prefix.
+  const std::vector<crypto::Digest> logged =
+      replayed_hashes(run.cluster.store(3));
+  ASSERT_GT(logged.size(), crashed_at);
+  for (std::size_t i = 0; i < logged.size(); ++i) {
+    EXPECT_EQ(back.forest().committed_hash_at(i + 1), logged[i]) << i;
+  }
+}
+
+/// Weak references to every block any replica committed.
+class CommitTracker : public core::ReplicaObserver {
+ public:
+  void on_commit(const core::Replica&, const BlockPtr& block) override {
+    committed_.push_back(block);
+  }
+  /// Committed blocks still alive.
+  [[nodiscard]] std::size_t alive() const {
+    std::set<const types::Block*> live;
+    for (const std::weak_ptr<const types::Block>& block : committed_) {
+      if (const BlockPtr b = block.lock()) live.insert(b.get());
+    }
+    return live.size();
+  }
+  [[nodiscard]] std::size_t commits() const { return committed_.size(); }
+
+ private:
+  std::vector<std::weak_ptr<const types::Block>> committed_;
+};
+
+TEST(StorageRecovery, RetainedBlocksDoNotGrowWithRunLength) {
+  // With retention 16 a replica's forest keeps 16 committed blocks, and a
+  // file store keeps none in memory, so the committed blocks alive at run
+  // end do not grow with the run's length, a crash-restart's reload
+  // included.
+  const auto alive_after = [](double seconds, std::size_t& commits) {
+    CommitTracker tracker;
+    core::Config cfg = file_store_config("2chs", 4);
+    cfg.retention = 16;
+    cfg.churn = "crash-restart@0.4s:replica=2:for=0.2s";
+    FileStoreCluster run(cfg);
+    run.cluster.attach(tracker);
+    run.start();
+    run.run_for(seconds);
+    EXPECT_EQ(run.cluster.restarts(), 1u);
+    EXPECT_TRUE(run.cluster.check_consistency().consistent);
+    commits = tracker.commits();
+    return tracker.alive();
+  };
+  std::size_t short_commits = 0;
+  std::size_t long_commits = 0;
+  const std::size_t short_alive = alive_after(1.0, short_commits);
+  const std::size_t long_alive = alive_after(3.0, long_commits);
+  ASSERT_GT(long_commits, 2 * short_commits);
+  EXPECT_LE(long_alive, short_alive + 4);
+  EXPECT_LE(long_alive, 4u * (16 + 4));
+}
+
+/// The forest a reload built before it streamed: every block of the store
+/// added in log order, each connected block's justify recorded, the
+/// deepest connected block committed, and one retention prune.
+forest::BlockForest batch_reload(BlockStore& store, std::uint32_t retention) {
+  forest::BlockForest forest;
+  BlockPtr best;
+  store.replay([&](const BlockPtr& block) {
+    if (forest.add(block) != forest::AddResult::kAdded) return;
+    forest.add_qc(block->justify());
+    if (!best || block->height() > best->height()) best = block;
+  });
+  if (best) forest.commit(best->hash());
+  if (retention > 0 && forest.committed_height() > retention) {
+    forest.prune_below(forest.committed_height() - retention);
+  }
+  return forest;
+}
+
+void expect_same_forest(const forest::BlockForest& got,
+                        const forest::BlockForest& want) {
+  EXPECT_EQ(got.committed_hashes(), want.committed_hashes());
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.orphan_count(), want.orphan_count());
+  EXPECT_EQ(got.high_qc(), want.high_qc());
+  EXPECT_EQ(got.longest_certified_tip()->hash(),
+            want.longest_certified_tip()->hash());
+  auto got_missing = got.missing_parents();
+  auto want_missing = want.missing_parents();
+  std::sort(got_missing.begin(), got_missing.end());
+  std::sort(want_missing.begin(), want_missing.end());
+  EXPECT_EQ(got_missing, want_missing);
+  for (const crypto::Digest& hash : want.committed_hashes()) {
+    EXPECT_EQ(got.contains(hash), want.contains(hash));
+    EXPECT_EQ(got.is_certified(hash), want.is_certified(hash));
+  }
+}
+
+TEST(StorageRecovery, StreamedReloadEndsWhereTheBatchReloadEnds) {
+  // The reload commits and prunes as it streams the log. It must end in
+  // the state of adding the whole log, committing the deepest connected
+  // block and pruning once: also for a log with a snapshot hole (replica 6
+  // is partitioned off and installs a snapshot), and for the log a
+  // restarted replica extends.
+  for (const char* protocol : {"2chs", "hotstuff", "streamlet"}) {
+    for (const std::uint32_t retention : {0u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << protocol << ", retention "
+                                        << retention);
+      core::Config cfg = file_store_config(protocol, 7);
+      cfg.seed = 23;
+      cfg.retention = retention;
+      cfg.timeout = sim::milliseconds(30);
+      cfg.sync_batch = 4;
+      cfg.snapshot_gap = 8;
+      cfg.churn = "partition@0.2s:groups=0-1-2-3-4-5|6;heal@0.5s";
+      FileStoreCluster run(cfg);
+      run.start();
+      for (const double at : {0.7, 1.0}) {
+        run.run_for(at - sim::to_seconds(run.cluster.simulator().now()));
+        for (const types::NodeId id : {types::NodeId{5}, types::NodeId{6}}) {
+          run.cluster.crash_replica(id);
+          const forest::BlockForest want =
+              batch_reload(run.cluster.store(id), retention);
+          run.cluster.restart_replica(id);
+          expect_same_forest(run.cluster.replica(id).forest(), want);
+        }
+      }
+      run.run_for(0.3);
+      EXPECT_TRUE(run.cluster.check_consistency().consistent);
+    }
+  }
+}
 
 harness::RunSpec storage_spec(const std::string& store,
                               std::uint32_t retention) {

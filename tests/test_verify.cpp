@@ -2,13 +2,15 @@
 // and HMAC checks on hand-crafted QCs/TCs, the forge-qc Byzantine strategy
 // end-to-end (forged certificates must be rejected and counted, never
 // committed), strategy cost-model sanity, determinism of the simulated
-// multi-worker verify pool, and a forged vote or proposal delivered ahead of
-// the genuine one.
+// multi-worker verify pool, a forged vote or proposal delivered ahead of
+// the genuine one, and a forged vote that no replica may echo.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "client/workload.h"
@@ -320,6 +322,57 @@ TEST(VerifyPipeline, ForgedVoteCannotShadowTheGenuineVote) {
 
   deliver(forged);
   EXPECT_EQ(*r0.forest().qc_for(block->hash()), qc);
+}
+
+TEST(VerifyPipeline, ForgedVoteIsNotEchoed) {
+  // Streamlet echoes each vote it accepts to every other replica. A forged
+  // vote (garbage tag) must be dropped before the echo, whether its voter
+  // has not voted (replica 3 crashed) or its voter's genuine vote was
+  // already counted (replica 1): no replica may send anything for it. Each
+  // forgery goes, from a client host, to replica 0 of a cluster, and the
+  // cluster's sends over the next 50 ms are compared with those of an
+  // identical cluster that gets none.
+  const auto sends_in_window = [](std::optional<crypto::SignerId> voter) {
+    core::Config cfg;
+    cfg.protocol = "streamlet";
+    cfg.n_replicas = 4;  // quorum 3
+    cfg.byz_no = 2;      // replicas 2 and 3 crash at start, so the two live
+    cfg.strategy = "crash";  // replicas alone can certify nothing
+    cfg.seed = 5;
+    harness::Cluster cluster(cfg);
+    cluster.start();
+    cluster.simulator().run_for(sim::milliseconds(450));
+    const std::uint64_t before = cluster.network().messages_sent();
+    if (voter) {
+      // The newest live block: proposed by replica 0 or 1, voted by both.
+      const core::Replica& r0 = cluster.replica(0);
+      types::BlockPtr block;
+      for (const types::BlockPtr& b :
+           r0.forest().children(r0.forest().committed_tip()->hash())) {
+        if (b->proposer() < 2 && (!block || b->view() > block->view())) {
+          block = b;
+        }
+      }
+      EXPECT_NE(block, nullptr);
+      if (!block) return std::uint64_t{0};
+      types::VoteMsg forged;
+      forged.view = block->view();
+      forged.height = block->height();
+      forged.slot = block->slot();
+      forged.block_hash = block->hash();
+      forged.sig.signer = *voter;
+      forged.sig.tag = crypto::Sha256::hash("garbage");
+      cluster.network().send(cfg.client_endpoint(0), 0,
+                             types::make_message(forged));
+    }
+    cluster.simulator().run_for(sim::milliseconds(50));
+    return cluster.network().messages_sent() - before;
+  };
+  const std::uint64_t quiet = sends_in_window(std::nullopt);
+  EXPECT_EQ(quiet, 0u);
+  // The forgery itself is the one extra message.
+  EXPECT_EQ(sends_in_window(3), quiet + 1);
+  EXPECT_EQ(sends_in_window(1), quiet + 1);
 }
 
 TEST(VerifyPipeline, ForgedProposalCannotRideTheMemo) {
