@@ -83,10 +83,9 @@ inline void print_usage(std::ostream& out, const char* argv0) {
 }
 
 /// Parse the shared bench CLI. An unknown argument, a flag without its
-/// value, a --seed or --reps value that is not a whole decimal number,
-/// --reps 0, and a --duration that is not a finite positive number are
-/// usage_errors; a malformed --threads value falls back to the automatic
-/// count.
+/// value, a --threads, --seed or --reps value that is not a whole decimal
+/// number, --reps 0, and a --duration that is not a finite positive number
+/// are usage_errors.
 inline Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -98,8 +97,14 @@ inline Args parse_args(int argc, char** argv) {
     if (flag == "--full") {
       args.full = true;
     } else if (flag == "--threads") {
-      args.threads =
-          static_cast<unsigned>(std::strtoul(value().c_str(), nullptr, 10));
+      const std::string text = value();
+      const auto threads = util::parse_unsigned(
+          text, std::numeric_limits<unsigned>::max());
+      if (!threads) {
+        usage_error(argv[0],
+                    "--threads needs a whole number, got '" + text + "'");
+      }
+      args.threads = static_cast<unsigned>(*threads);
     } else if (flag == "--seed") {
       const std::string text = value();
       const auto seed = util::parse_unsigned(text);

@@ -15,6 +15,7 @@
 
 #include "bench_common.h"
 #include "client/workload.h"
+#include "core/churn.h"
 
 int main(int argc, char** argv) {
   using namespace bamboo;
@@ -67,14 +68,25 @@ int main(int argc, char** argv) {
       cfg.link_model = "normal";
       cfg.topology = "uniform";
 
+      // The fluctuation window, then the last replica's silence.
+      core::ChurnEvent fluct;
+      fluct.kind = core::ChurnKind::kFluctuation;
+      fluct.at_s = fluct_start;
+      fluct.for_s = fluct_end - fluct_start;
+      fluct.lo_ms = 10;
+      fluct.hi_ms = 100;
+      core::ChurnEvent silence;
+      silence.kind = core::ChurnKind::kSilence;
+      silence.at_s = fault_at;
+      silence.target = core::ChurnTarget::kReplica;
+      silence.a = cfg.n_replicas - 1;
+      cfg.churn = core::format_churn({fluct, silence});
+
       client::WorkloadConfig wl;
       wl.mode = client::LoadMode::kOpenLoop;
       wl.arrival_rate_tps = 20000;
 
-      grid.push_back(harness::timeline_spec(
-          cfg, wl, horizon, bucket, fluct_start, fluct_end,
-          sim::milliseconds(10), sim::milliseconds(100), fault_at,
-          cfg.n_replicas - 1));
+      grid.push_back(harness::timeline_spec(cfg, wl, horizon, bucket));
     }
   }
 

@@ -135,10 +135,7 @@ int main(int argc, char** argv) {
       wl.mode = client::LoadMode::kOpenLoop;
       wl.arrival_rate_tps = 10000;
 
-      grid.push_back(harness::timeline_spec(cfg, wl, horizon, bucket,
-                                            /*fluct_start_s=*/-1,
-                                            /*fluct_end_s=*/-1, 0, 0,
-                                            /*crash_at_s=*/-1, 0));
+      grid.push_back(harness::timeline_spec(cfg, wl, horizon, bucket));
     }
   }
 

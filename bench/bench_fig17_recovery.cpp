@@ -122,10 +122,7 @@ int main(int argc, char** argv) {
         wl.mode = client::LoadMode::kOpenLoop;
         wl.arrival_rate_tps = 10000;
 
-        auto spec = harness::timeline_spec(cfg, wl, horizon, bucket,
-                                           /*fluct_start_s=*/-1,
-                                           /*fluct_end_s=*/-1, 0, 0,
-                                           /*crash_at_s=*/-1, 0);
+        auto spec = harness::timeline_spec(cfg, wl, horizon, bucket);
         spec.offered = batch;  // sweep label: the batch size
         grid.push_back(std::move(spec));
       }

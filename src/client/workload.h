@@ -80,6 +80,8 @@ struct WorkloadConfig {
   /// replicas, or sessions drain into the starved mempools and offered
   /// load collapses to zero.
   sim::Duration session_timeout = 0;
+
+  bool operator==(const WorkloadConfig&) const = default;
 };
 
 /// Issues transactions from the simulated client hosts, receives commit

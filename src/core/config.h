@@ -211,6 +211,8 @@ struct Config {
   /// Client load is not a Config key: it comes from
   /// client::WorkloadConfig and the run windows from harness::RunOptions.
   static Config from_json(const util::Json& j);
+
+  bool operator==(const Config&) const = default;
 };
 
 }  // namespace bamboo::core

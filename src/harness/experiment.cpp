@@ -997,10 +997,7 @@ std::vector<RunSpec> open_loop_specs(const core::Config& cfg,
 
 RunSpec timeline_spec(const core::Config& cfg,
                       const client::WorkloadConfig& wl, double horizon_s,
-                      double bucket_s, double fluct_start_s,
-                      double fluct_end_s, sim::Duration fluct_lo,
-                      sim::Duration fluct_hi, double crash_at_s,
-                      types::NodeId crash_replica) {
+                      double bucket_s) {
   RunSpec spec;
   spec.cfg = cfg;
   spec.workload = wl;
@@ -1008,42 +1005,6 @@ RunSpec timeline_spec(const core::Config& cfg,
   spec.opts.measure_s = horizon_s;
   spec.measure_whole_run = true;
   spec.timeline_bucket_s = bucket_s;
-
-  // The legacy two-event plan expressed as churn events, carried in
-  // cfg.churn so the schedule reaches provenance and shard merges.
-  core::ChurnSchedule schedule;
-  if (fluct_start_s >= 0) {
-    if (fluct_end_s < fluct_start_s) {
-      throw std::invalid_argument(
-          "timeline_spec: half-specified fluctuation window (start " +
-          std::to_string(fluct_start_s) + "s, end " +
-          std::to_string(fluct_end_s) + "s) — give both ends");
-    }
-    if (fluct_end_s > fluct_start_s) {  // a zero-length window is a no-op
-      core::ChurnEvent ev;
-      ev.kind = core::ChurnKind::kFluctuation;
-      ev.at_s = fluct_start_s;
-      ev.for_s = fluct_end_s - fluct_start_s;
-      ev.lo_ms = sim::to_milliseconds(fluct_lo);
-      ev.hi_ms = sim::to_milliseconds(fluct_hi);
-      schedule.push_back(ev);
-    }
-  }
-  if (crash_at_s > 0) {
-    core::ChurnEvent ev;
-    ev.kind = core::ChurnKind::kSilence;
-    ev.at_s = crash_at_s;
-    ev.target = core::ChurnTarget::kReplica;
-    ev.a = crash_replica;
-    schedule.push_back(ev);
-  }
-  // Append to (never clobber) a schedule the caller already put in
-  // cfg.churn — scenario benches pre-load their own DSL.
-  const std::string extra = core::format_churn(schedule);
-  if (!extra.empty()) {
-    spec.cfg.churn =
-        spec.cfg.churn.empty() ? extra : spec.cfg.churn + ";" + extra;
-  }
   return spec;
 }
 

@@ -177,6 +177,8 @@ struct Metric {
 struct RunOptions {
   double warmup_s = 0.5;
   double measure_s = 1.5;
+
+  bool operator==(const RunOptions&) const = default;
 };
 
 /// Sparse codec for RunResult::commit_share ("id:count;..."; ids
@@ -199,16 +201,12 @@ struct DemocracyScalars {
     const std::map<types::NodeId, std::uint64_t>& counts,
     std::uint32_t n_replicas, std::uint32_t byz_no);
 
-/// The mid-run network-churn schedule: an ordered list of typed, timed
-/// events (link degradation/restoration, partitions, loss bursts, global
-/// fluctuation windows, crash/silence faults — see core/churn.h) executed
-/// by the simulator at their scheduled times. This generalizes the old
-/// two-event plan (one fluctuation window + one crash, Fig. 15) into a
-/// scenario language; the legacy shape is now just a two-event schedule.
-///
-/// Empty by default. Programmatic schedules go here; DSL strings ride in
-/// core::Config::churn (so they reach provenance) and are appended to
-/// this schedule at execute() time.
+/// A programmatic mid-run churn schedule: typed, timed events (link
+/// degradation/restoration, partitions, loss bursts, fluctuation windows,
+/// crash/silence faults — see core/churn.h) that execute() runs ahead of
+/// the core::Config::churn DSL events. Empty by default; the benches
+/// write their faults as DSL in cfg.churn. Provenance records the
+/// effective schedule of both.
 struct FaultPlan {
   core::ChurnSchedule schedule;
 
@@ -320,21 +318,11 @@ std::vector<RunSpec> open_loop_specs(const core::Config& cfg,
                                      const std::vector<double>& rates_tps,
                                      const RunOptions& opts = {});
 
-/// Build the spec for a Fig. 15 responsiveness timeline run. The
-/// fluctuation window and the paper's "silence attack (crash)" on
-/// crash_replica (it stops proposing) are expressed as churn-DSL events in
-/// the returned spec's cfg.churn (so they reach provenance); a negative
-/// fluct_start_s or non-positive crash_at_s omits the respective event.
-/// Other faults, a hard crash included, ride in cfg.churn, which this
-/// appends to.
-/// Throws std::invalid_argument on a half-specified window
-/// (fluct_start_s >= 0 with fluct_end_s < fluct_start_s) — the old
-/// FaultPlan silently ignored it.
+/// Build the spec for a whole-run throughput timeline (Fig. 15): no
+/// warm-up, a `horizon_s` window, `bucket_s` buckets. Its faults ride in
+/// cfg.churn, like any run's.
 RunSpec timeline_spec(const core::Config& cfg,
                       const client::WorkloadConfig& wl, double horizon_s,
-                      double bucket_s, double fluct_start_s,
-                      double fluct_end_s, sim::Duration fluct_lo,
-                      sim::Duration fluct_hi, double crash_at_s,
-                      types::NodeId crash_replica);
+                      double bucket_s);
 
 }  // namespace bamboo::harness

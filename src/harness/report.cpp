@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -17,6 +16,7 @@
 #include "harness/table.h"
 #include "sim/time.h"
 #include "util/histogram.h"
+#include "util/parse.h"
 #include "util/stats.h"
 
 namespace bamboo::harness::report {
@@ -62,7 +62,7 @@ Record aggregate_from(const std::string& bench, const std::string& artifact,
   rec.rep = 0;
   rec.reps = static_cast<std::uint32_t>(results.size());
   rec.prov = std::move(base_prov);
-  rec.prov.seed = rec.prov.base_seed;
+  rec.prov.cfg.seed = rec.prov.base_seed;
 
   const double n = results.empty() ? 1.0 : static_cast<double>(results.size());
   // Pooled data: histogram buckets and per-proposer commit counts add as
@@ -150,64 +150,18 @@ Record aggregate_from(const std::string& bench, const std::string& artifact,
   // Exact pooled quantiles over every rep's samples, and democracy
   // scalars from the pooled counts (weighting reps by committed blocks).
   out.set_latency_hist(hist);
-  out.set_commit_share(commit_counts, rec.prov.n_replicas, rec.prov.byz_no);
+  out.set_commit_share(commit_counts, rec.prov.cfg.n_replicas,
+                       rec.prov.cfg.byz_no);
   return rec;
 }
 
 }  // namespace
 
 Provenance provenance_of(const RunSpec& spec, std::uint32_t rep) {
-  Provenance p;
-  p.protocol = spec.cfg.protocol;
-  p.n_replicas = spec.cfg.n_replicas;
-  p.byz_no = spec.cfg.byz_no;
-  p.strategy = spec.cfg.strategy;
-  p.election = spec.cfg.election;
-  p.bsize = spec.cfg.bsize;
-  p.psize = spec.cfg.psize;
-  p.memsize = spec.cfg.memsize;
-  p.delay_ms = sim::to_milliseconds(spec.cfg.delay);
-  p.delay_jitter_ms = sim::to_milliseconds(spec.cfg.delay_jitter);
-  p.timeout_ms = sim::to_milliseconds(spec.cfg.timeout);
-  p.link_model = spec.cfg.link_model;
-  p.link_shape = spec.cfg.link_shape;
-  p.link_loss = spec.cfg.link_loss;
-  p.topology = spec.cfg.topology;
-  // The EFFECTIVE schedule — programmatic FaultPlan events followed by
-  // the cfg.churn DSL, exactly what execute() installs — in canonical
-  // form, so re-parsing a persisted row reproduces the executed plan
-  // even for runs driven through spec.faults.
-  p.churn = core::format_churn(effective_churn(spec.faults, spec.cfg));
-  p.ge_p = spec.cfg.ge_p;
-  p.ge_r = spec.cfg.ge_r;
-  p.ge_loss_good = spec.cfg.ge_loss_good;
-  p.ge_loss_bad = spec.cfg.ge_loss_bad;
-  p.sync_batch = spec.cfg.sync_batch;
-  p.sync_timeout_ms = sim::to_milliseconds(spec.cfg.sync_timeout);
-  p.sync_retries = spec.cfg.sync_retries;
-  p.sync_pipeline = spec.cfg.sync_pipeline;
-  p.snapshot_gap = spec.cfg.snapshot_gap;
-  p.store = spec.cfg.store;
-  p.retention = spec.cfg.retention;
-  p.verify_strategy = spec.cfg.verify_strategy;
-  p.cpu_workers = spec.cfg.cpu_workers;
-  p.cpu_verify_per_sig_us = sim::to_microseconds(spec.cfg.cpu_verify_per_sig);
-  p.cpu_verify_batch_base_us =
-      sim::to_microseconds(spec.cfg.cpu_verify_batch_base);
-  p.cpu_verify_batch_per_sig_us =
-      sim::to_microseconds(spec.cfg.cpu_verify_batch_per_sig);
-  p.mode =
-      spec.workload.mode == client::LoadMode::kClosedLoop ? "closed" : "open";
-  p.concurrency = spec.workload.concurrency;
-  p.arrival_rate_tps = spec.workload.arrival_rate_tps;
-  p.arrival = spec.workload.arrival;
-  p.client_population = spec.workload.client_population;
-  p.admission = spec.cfg.admission;
-  p.base_seed = spec.cfg.seed;
-  p.seed = spec.cfg.seed + rep;
-  p.warmup_s = spec.opts.warmup_s;
-  p.measure_s = spec.opts.measure_s;
-  p.offered = spec.offered;
+  Provenance p{spec.cfg, spec.workload, spec.opts, spec.cfg.seed,
+               spec.offered};
+  p.cfg.seed += rep;
+  p.cfg.churn = core::format_churn(effective_churn(spec.faults, spec.cfg));
   return p;
 }
 
@@ -304,18 +258,88 @@ std::vector<Record> make_timeline_records(const std::string& bench,
 
 namespace {
 
-/// Marks a full-width uint64 column written to JSON as a decimal string
-/// (util::Json numbers are doubles, exact only up to 2^53): the seeds, so
-/// the emitters and the shard merge stay lossless for any seed.
+/// A persisted cell of the right JSON type that no run could have
+/// written: refused, not decoded to an input the run never had.
+[[noreturn]] void bad_cell(std::string_view column, const util::Json& v,
+                           const char* want) {
+  throw std::invalid_argument("report column '" + std::string(column) +
+                              "' holds " + v.dump() + ", not " + want);
+}
+
+// Cell adapters: a column whose member is not written as itself. shown()
+// is the plain cell value both emitters write; read() decodes a JSON
+// value of the cell's type back into the member (another type leaves the
+// member as it is). Each refers into a Record, const when it is.
+
+/// A full-width uint64 written to JSON as a decimal string (util::Json
+/// numbers are doubles, exact only up to 2^53): the seeds, so the
+/// emitters and the shard merge stay lossless for any seed.
 template <typename T>
 struct Decimal {
   explicit Decimal(T& v) : value(v) {}
   T& value;
+
+  [[nodiscard]] std::string shown() const { return std::to_string(value); }
+  void read(std::string_view column, const util::Json& v) const {
+    if (v.is_string()) {
+      const auto parsed = util::parse_unsigned(v.as_string());
+      if (!parsed) bad_cell(column, v, "a whole number");
+      value = *parsed;
+    } else if (v.is_number()) {
+      const double x = v.as_number();
+      if (!(x >= 0 && x < 0x1p64 && x == std::floor(x))) {
+        bad_cell(column, v, "a whole number");
+      }
+      value = static_cast<std::uint64_t>(x);
+    }
+  }
 };
 
+/// A sim::Duration written as a count of `unit`s (ms or µs).
+template <typename T>
+struct DurationIn {
+  DurationIn(T& v, sim::Duration u) : value(v), unit(u) {}
+  T& value;
+  sim::Duration unit;
+
+  [[nodiscard]] double shown() const {
+    return static_cast<double>(value) / static_cast<double>(unit);
+  }
+  void read(std::string_view, const util::Json& v) const {
+    if (v.is_number()) {
+      value = std::llround(v.as_number() * static_cast<double>(unit));
+    }
+  }
+};
+
+/// The client load mode, written "closed" or "open".
+template <typename T>
+struct ModeName {
+  explicit ModeName(T& v) : value(v) {}
+  T& value;
+
+  [[nodiscard]] std::string shown() const {
+    return value == client::LoadMode::kClosedLoop ? "closed" : "open";
+  }
+  void read(std::string_view column, const util::Json& v) const {
+    if (!v.is_string()) return;
+    if (v.as_string() == "closed") {
+      value = client::LoadMode::kClosedLoop;
+    } else if (v.as_string() == "open") {
+      value = client::LoadMode::kOpenLoop;
+    } else {
+      bad_cell(column, v, "closed or open");
+    }
+  }
+};
+
+template <typename T>
+concept CellAdapter = requires(const T& a) { a.shown(); };
+
 /// The one column list. Calls f(name, field) for every schema column in
-/// order; `field` refers into `r` (const when `r` is). The RunResult
-/// metrics and their `_ci95` columns come from run_metrics().
+/// order; `field` refers into `r` (const when `r` is), directly or through
+/// a cell adapter. The RunResult metrics and their `_ci95` columns come
+/// from run_metrics().
 template <typename R, typename F>
 void for_each_column(R& r, F&& f) {
   f("bench", r.bench);
@@ -325,50 +349,53 @@ void for_each_column(R& r, F&& f) {
   f("spec_index", r.spec_index);
   f("rep", r.rep);
   f("reps", r.reps);
-  auto& p = r.prov;
-  f("protocol", p.protocol);
-  f("n_replicas", p.n_replicas);
-  f("byz_no", p.byz_no);
-  f("strategy", p.strategy);
-  f("election", p.election);
-  f("bsize", p.bsize);
-  f("psize", p.psize);
-  f("memsize", p.memsize);
-  f("delay_ms", p.delay_ms);
-  f("delay_jitter_ms", p.delay_jitter_ms);
-  f("timeout_ms", p.timeout_ms);
-  f("link_model", p.link_model);
-  f("link_shape", p.link_shape);
-  f("link_loss", p.link_loss);
-  f("topology", p.topology);
-  f("churn", p.churn);
-  f("ge_p", p.ge_p);
-  f("ge_r", p.ge_r);
-  f("ge_loss_good", p.ge_loss_good);
-  f("ge_loss_bad", p.ge_loss_bad);
-  f("sync_batch", p.sync_batch);
-  f("sync_timeout_ms", p.sync_timeout_ms);
-  f("sync_retries", p.sync_retries);
-  f("sync_pipeline", p.sync_pipeline);
-  f("snapshot_gap", p.snapshot_gap);
-  f("store", p.store);
-  f("retention", p.retention);
-  f("verify_strategy", p.verify_strategy);
-  f("cpu_workers", p.cpu_workers);
-  f("cpu_verify_per_sig_us", p.cpu_verify_per_sig_us);
-  f("cpu_verify_batch_base_us", p.cpu_verify_batch_base_us);
-  f("cpu_verify_batch_per_sig_us", p.cpu_verify_batch_per_sig_us);
-  f("mode", p.mode);
-  f("concurrency", p.concurrency);
-  f("arrival_rate_tps", p.arrival_rate_tps);
-  f("arrival", p.arrival);
-  f("client_population", p.client_population);
-  f("admission", p.admission);
-  f("seed", Decimal(p.seed));
-  f("base_seed", Decimal(p.base_seed));
-  f("warmup_s", p.warmup_s);
-  f("measure_s", p.measure_s);
-  f("offered", p.offered);
+  auto& c = r.prov.cfg;
+  auto& w = r.prov.workload;
+  const auto ms = [](auto& d) { return DurationIn(d, sim::kMillisecond); };
+  const auto us = [](auto& d) { return DurationIn(d, sim::kMicrosecond); };
+  f("protocol", c.protocol);
+  f("n_replicas", c.n_replicas);
+  f("byz_no", c.byz_no);
+  f("strategy", c.strategy);
+  f("election", c.election);
+  f("bsize", c.bsize);
+  f("psize", c.psize);
+  f("memsize", c.memsize);
+  f("delay_ms", ms(c.delay));
+  f("delay_jitter_ms", ms(c.delay_jitter));
+  f("timeout_ms", ms(c.timeout));
+  f("link_model", c.link_model);
+  f("link_shape", c.link_shape);
+  f("link_loss", c.link_loss);
+  f("topology", c.topology);
+  f("churn", c.churn);
+  f("ge_p", c.ge_p);
+  f("ge_r", c.ge_r);
+  f("ge_loss_good", c.ge_loss_good);
+  f("ge_loss_bad", c.ge_loss_bad);
+  f("sync_batch", c.sync_batch);
+  f("sync_timeout_ms", ms(c.sync_timeout));
+  f("sync_retries", c.sync_retries);
+  f("sync_pipeline", c.sync_pipeline);
+  f("snapshot_gap", c.snapshot_gap);
+  f("store", c.store);
+  f("retention", c.retention);
+  f("verify_strategy", c.verify_strategy);
+  f("cpu_workers", c.cpu_workers);
+  f("cpu_verify_per_sig_us", us(c.cpu_verify_per_sig));
+  f("cpu_verify_batch_base_us", us(c.cpu_verify_batch_base));
+  f("cpu_verify_batch_per_sig_us", us(c.cpu_verify_batch_per_sig));
+  f("mode", ModeName(w.mode));
+  f("concurrency", w.concurrency);
+  f("arrival_rate_tps", w.arrival_rate_tps);
+  f("arrival", w.arrival);
+  f("client_population", w.client_population);
+  f("admission", c.admission);
+  f("seed", Decimal(c.seed));
+  f("base_seed", Decimal(r.prov.base_seed));
+  f("warmup_s", r.prov.opts.warmup_s);
+  f("measure_s", r.prov.opts.measure_s);
+  f("offered", r.prov.offered);
   for (const Metric& m : run_metrics()) {
     std::visit([&](auto member) { f(m.name, r.result.*member); }, m.member);
     if (m.ci != nullptr) f(std::string(m.name) + "_ci95", r.ci.*m.ci);
@@ -376,20 +403,15 @@ void for_each_column(R& r, F&& f) {
 }
 
 template <typename T>
-constexpr bool kIsDecimal = false;
-template <typename T>
-constexpr bool kIsDecimal<Decimal<T>> = true;
-
-template <typename T>
 std::string csv_cell(const T& v) {
-  if constexpr (std::is_same_v<T, std::string>) {
+  if constexpr (CellAdapter<T>) {
+    return csv_cell(v.shown());
+  } else if constexpr (std::is_same_v<T, std::string>) {
     return csv_escape(v);
   } else if constexpr (std::is_same_v<T, double>) {
     return util::Json::number_to_string(v);
   } else if constexpr (std::is_same_v<T, bool>) {
     return v ? "true" : "false";
-  } else if constexpr (kIsDecimal<T>) {
-    return std::to_string(v.value);
   } else {
     return std::to_string(v);
   }
@@ -397,8 +419,8 @@ std::string csv_cell(const T& v) {
 
 template <typename T>
 util::Json json_cell(const T& v) {
-  if constexpr (kIsDecimal<T>) {
-    return util::Json(std::to_string(v.value));
+  if constexpr (CellAdapter<T>) {
+    return util::Json(v.shown());
   } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
     return util::Json(static_cast<std::int64_t>(v));
   } else {
@@ -408,15 +430,13 @@ util::Json json_cell(const T& v) {
 
 /// Overwrite `field` from `v` when `v` has the field's JSON type; any
 /// other value leaves the default-constructed Record's value in place.
+/// An adapter throws std::invalid_argument naming `column` for a value it
+/// cannot decode.
 template <typename T>
-void decode_cell(const util::Json& v, T&& field) {
+void decode_cell(std::string_view column, const util::Json& v, T&& field) {
   using U = std::remove_cvref_t<T>;
-  if constexpr (kIsDecimal<U>) {
-    if (v.is_string()) {
-      field.value = std::strtoull(v.as_string().c_str(), nullptr, 10);
-    } else if (v.is_number()) {
-      field.value = static_cast<std::uint64_t>(v.as_int());
-    }
+  if constexpr (CellAdapter<U>) {
+    field.read(column, v);
   } else if constexpr (std::is_same_v<U, std::string>) {
     if (v.is_string()) field = v.as_string();
   } else if constexpr (std::is_same_v<U, bool>) {
@@ -478,7 +498,7 @@ Record record_from_json(const util::Json& j) {
   Record r;
   for_each_column(r, [&](std::string_view name, auto&& field) {
     if (const util::Json* v = j.find(name)) {
-      decode_cell(*v, std::forward<decltype(field)>(field));
+      decode_cell(name, *v, std::forward<decltype(field)>(field));
     }
   });
   return r;
@@ -667,11 +687,9 @@ std::vector<Record> merge_records(std::vector<Record> rows) {
           std::to_string(results.size()) + ", want " +
           std::to_string(rows[i].reps));
     }
-    Provenance base = rows[i].prov;
-    base.seed = base.base_seed;
     Record agg = aggregate_from(rows[i].bench, rows[i].artifact,
                                 rows[i].series, rows[i].spec_index,
-                                std::move(base), results);
+                                rows[i].prov, results);
     for (std::size_t j = i; j < end; ++j) out.push_back(std::move(rows[j]));
     out.push_back(std::move(agg));
     i = end;

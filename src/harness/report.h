@@ -25,71 +25,26 @@
 
 namespace bamboo::harness::report {
 
-/// Flattened RunSpec provenance — the experiment-defining columns of the
-/// emitter schema (Table I parameters + workload + windows + seeds).
+/// A row's run inputs: the spec's own Config, WorkloadConfig and
+/// RunOptions, so each persisted input and its default are declared once,
+/// where the run reads it. for_each_column (report.cpp) names the inputs
+/// that reach a column; the rest keep their defaults through a JSON
+/// round trip.
 struct Provenance {
-  std::string protocol;
-  std::uint32_t n_replicas = 4;
-  std::uint32_t byz_no = 0;
-  std::string strategy;
-  std::string election;
-  std::uint32_t bsize = 400;
-  std::uint32_t psize = 0;
-  std::uint32_t memsize = 20000;
-  double delay_ms = 0;
-  double delay_jitter_ms = 0;
-  double timeout_ms = 0;
-  // WAN scenario engine provenance (string-keyed, flat).
-  std::string link_model = "normal";
-  double link_shape = 0;
-  double link_loss = 0;
-  std::string topology = "uniform";
-  // Network-churn engine provenance: the canonical churn DSL of the
-  // EFFECTIVE schedule (programmatic FaultPlan events + the cfg.churn
-  // DSL, exactly what execute() installs), so re-parsing a persisted row
-  // yields the schedule the run executed; empty = no churn. The
-  // Gilbert-Elliott bursty-loss channel parameters ride as four flat
-  // columns like the rest of the link model.
-  std::string churn;
-  double ge_p = 0;
-  double ge_r = 0;
-  double ge_loss_good = 0;
-  double ge_loss_bad = 1.0;
-  // Recovery & state-sync provenance (sync/syncer.h), flat like the rest.
-  std::uint32_t sync_batch = 1;
-  double sync_timeout_ms = 500;
-  std::uint32_t sync_retries = 3;
-  // Durable ledger + snapshot state transfer provenance (storage/
-  // block_store.h, sync/syncer.h accelerators), flat like the rest.
-  std::uint32_t sync_pipeline = 1;
-  std::uint32_t snapshot_gap = 0;
-  std::string store = "memory";
-  std::uint32_t retention = 0;
-  // Certificate-verification pipeline provenance (quorum/cert_verifier.h +
-  // the Replica cost model), flat like the rest.
-  std::string verify_strategy = "eager";
-  std::uint32_t cpu_workers = 1;
-  double cpu_verify_per_sig_us = 0;
-  double cpu_verify_batch_base_us = 100;
-  double cpu_verify_batch_per_sig_us = 2;
-  std::string mode = "closed";  ///< "closed" | "open"
-  std::uint32_t concurrency = 0;
-  double arrival_rate_tps = 0;
-  // Open-loop load engine + mempool admission provenance (client/workload.h
-  // arrival DSL, mempool/mempool.h admission DSL), flat like the rest.
-  std::string arrival = "poisson";
-  std::uint64_t client_population = 0;
-  std::string admission = "drop";
-  std::uint64_t seed = 0;       ///< this run's seed (base_seed + rep)
+  /// seed = this row's seed (base_seed + rep); churn = the canonical DSL
+  /// of the EFFECTIVE schedule (spec.faults events, then cfg.churn's), so
+  /// re-parsing a persisted row yields the schedule the run executed.
+  core::Config cfg;
+  client::WorkloadConfig workload;
+  RunOptions opts;
   std::uint64_t base_seed = 0;  ///< repetition base seed
-  double warmup_s = 0;
-  double measure_s = 0;
   double offered = 0;  ///< sweep label (concurrency, λ, N, byz, ...)
 
   bool operator==(const Provenance&) const = default;
 };
 
-/// Flatten the spec; `rep` shifts the seed the way run_repeated_grid does.
+/// The inputs of `spec`'s repetition `rep`: its seed shifted the way
+/// run_repeated_grid does, its churn the effective schedule.
 Provenance provenance_of(const RunSpec& spec, std::uint32_t rep = 0);
 
 /// 95% CI half-widths for the headline metrics; all zero on per-run rows.
@@ -113,7 +68,8 @@ struct CiSet {
 /// bucket index, prov.offered the bucket start in seconds,
 /// result.throughput_tps the committed-tx rate inside the bucket, and
 /// result.measured_s the bucket width — flat rows that survive the shard
-/// merge. A member missing from a JSON record decodes to its value here.
+/// merge. A member missing from a JSON record decodes to its value in a
+/// default-constructed Record: the run input's own default.
 struct Record {
   std::string bench;     ///< bench id, e.g. "fig12_scalability"
   std::string artifact;  ///< figure/table name; keys the artifact file

@@ -3,12 +3,15 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
+
+#include "util/parse.h"
 
 namespace bamboo::harness {
 
@@ -117,8 +120,9 @@ Shard Shard::parse(const std::string& text) {
 unsigned ParallelRunner::resolve_threads(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("BAMBOO_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<unsigned>(parsed);
+    const auto parsed =
+        util::parse_unsigned(env, std::numeric_limits<unsigned>::max());
+    if (parsed && *parsed > 0) return static_cast<unsigned>(*parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -88,7 +88,8 @@ class ParallelRunner {
                             std::uint32_t reps, Shard shard = {});
 
   /// Resolve a requested thread count: requested > 0 wins, then
-  /// BAMBOO_THREADS, then hardware_concurrency(); never less than 1.
+  /// BAMBOO_THREADS when it is a positive whole decimal number, then
+  /// hardware_concurrency(); never less than 1.
   [[nodiscard]] static unsigned resolve_threads(unsigned requested);
 
  private:

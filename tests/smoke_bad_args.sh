@@ -34,12 +34,15 @@ check --no-such-flag
 check --rep 3          # the flag is --reps
 check --duration       # trailing flag without its value
 check --reps 2 --threads
-# Malformed values: each once fell back silently (one seed, the default
-# seed, the full window) and exited 0.
+# Malformed values: each once fell back silently (one seed, the automatic
+# or a truncated thread count, the default seed, the full window) and
+# exited 0.
 check --reps two
 check --reps 3x
 check --reps 0
 check --reps -1
+check --threads x
+check --threads 4x
 check --seed x7
 check --seed 7.5
 check --seed -7

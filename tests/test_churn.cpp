@@ -284,7 +284,7 @@ TEST(ChurnDsl, RejectsHalfSpecifiedFluctuationWindows) {
   for (const char* dsl :
        {"fluct@2s:lo=10ms:hi=100ms", "fluct@2s:for=3s:hi=100ms",
         "fluct@2s:for=3s:lo=10ms", "fluct@2s:for=3s:lo=100ms:hi=10ms",
-        "fluct@2s"}) {
+        "fluct@2s", "fluct@0.5s:for=-0.3s:lo=10ms:hi=40ms"}) {
     EXPECT_THROW(static_cast<void>(core::parse_churn(dsl)),
                  std::invalid_argument)
         << dsl;
@@ -468,8 +468,9 @@ TEST(ChurnRoundTrip, ProvenanceCarriesTheCanonicalForm) {
   // Messy but valid spelling: ms times, bare leader, trailing spaces.
   spec.cfg.churn = " degrade@2500ms:leader:+40ms ;heal@4s";
   const auto prov = harness::report::provenance_of(spec);
-  EXPECT_EQ(prov.churn, "degrade@2.5s:leader=0:+40ms;heal@4s");
-  EXPECT_EQ(core::parse_churn(prov.churn), core::parse_churn(spec.cfg.churn));
+  EXPECT_EQ(prov.cfg.churn, "degrade@2.5s:leader=0:+40ms;heal@4s");
+  EXPECT_EQ(core::parse_churn(prov.cfg.churn),
+            core::parse_churn(spec.cfg.churn));
 }
 
 // ---------------------------------------------------------------------------
@@ -560,32 +561,6 @@ TEST(ChurnEngine, LossBurstIsTransient) {
   EXPECT_TRUE(burst.consistent);
 }
 
-TEST(ChurnEngine, FluctuationEventMatchesLegacyTimelineSpec) {
-  // The fig15 shape, expressed once through timeline_spec (which now
-  // emits churn DSL) and once as a hand-written DSL string: identical.
-  core::Config cfg;
-  cfg.bsize = 100;
-  cfg.seed = 9;
-  client::WorkloadConfig wl;
-  wl.mode = client::LoadMode::kOpenLoop;
-  wl.arrival_rate_tps = 2000;
-
-  const auto spec = harness::timeline_spec(
-      cfg, wl, /*horizon=*/1.2, /*bucket=*/0.3, /*fluct_start=*/0.3,
-      /*fluct_end=*/0.6, sim::milliseconds(10), sim::milliseconds(40),
-      /*crash_at=*/0.9, 3);
-  EXPECT_EQ(spec.cfg.churn,
-            "fluct@0.3s:for=0.3s:lo=10ms:hi=40ms;silence@0.9s:replica=3");
-
-  harness::RunSpec manual = spec;
-  manual.cfg.churn = "fluct@0.3s:for=0.3s:lo=10ms:hi=40ms;"
-                     "silence@0.9s:replica=3";
-  const auto a = harness::execute_full(spec);
-  const auto b = harness::execute_full(manual);
-  EXPECT_EQ(a.result, b.result);
-  EXPECT_EQ(a.tx_per_s, b.tx_per_s);
-}
-
 TEST(ChurnEngine, Fig15StyleScheduleIsPinned) {
   // The fig15 shape through the churn engine, pinned to values captured
   // after the engine was verified bit-identical to the pre-churn
@@ -594,14 +569,12 @@ TEST(ChurnEngine, Fig15StyleScheduleIsPinned) {
   core::Config cfg;
   cfg.bsize = 100;
   cfg.seed = 9;
+  cfg.churn = "fluct@0.3s:for=0.3s:lo=10ms:hi=40ms;silence@0.9s:replica=3";
   client::WorkloadConfig wl;
   wl.mode = client::LoadMode::kOpenLoop;
   wl.arrival_rate_tps = 2000;
-  const auto spec = harness::timeline_spec(
-      cfg, wl, /*horizon=*/1.2, /*bucket=*/0.3, /*fluct_start=*/0.3,
-      /*fluct_end=*/0.6, sim::milliseconds(10), sim::milliseconds(40),
-      /*crash_at=*/0.9, 3);
-  const auto out = harness::execute_full(spec);
+  const auto out = harness::execute_full(
+      harness::timeline_spec(cfg, wl, /*horizon_s=*/1.2, /*bucket_s=*/0.3));
   EXPECT_DOUBLE_EQ(out.result.throughput_tps, 1491.6666666666667);
   EXPECT_DOUBLE_EQ(out.result.latency_ms_mean, 62.877549871508371);
   EXPECT_DOUBLE_EQ(out.result.latency_ms_p99, 304.04000600999979);
@@ -613,15 +586,6 @@ TEST(ChurnEngine, Fig15StyleScheduleIsPinned) {
   const std::vector<double> expected_buckets = {2096.666666666667, 190.0,
                                                 3630.0, 50.0};
   EXPECT_EQ(out.tx_per_s, expected_buckets);
-}
-
-TEST(ChurnEngine, HalfSpecifiedTimelineWindowThrows) {
-  core::Config cfg;
-  client::WorkloadConfig wl;
-  EXPECT_THROW(static_cast<void>(harness::timeline_spec(
-                   cfg, wl, 1.0, 0.25, /*fluct_start=*/0.5,
-                   /*fluct_end=*/0.2, 0, 0, -1, 0)),
-               std::invalid_argument);
 }
 
 TEST(ChurnEngine, OutOfRangeIdsThrowAtInstall) {
@@ -687,7 +651,7 @@ TEST(ChurnEngine, ProgrammaticScheduleReachesProvenance) {
   harness::RunSpec spec = churn_spec("heal@4s");
   spec.faults.schedule = core::parse_churn("crash@2s:replica=1");
   const auto prov = harness::report::provenance_of(spec);
-  EXPECT_EQ(prov.churn, "crash@2s:replica=1;heal@4s");
+  EXPECT_EQ(prov.cfg.churn, "crash@2s:replica=1;heal@4s");
 }
 
 TEST(ChurnEngine, CrashEventMatchesClusterCrash) {

@@ -249,9 +249,8 @@ TEST(Experiment, TimelineBucketsCoverHorizon) {
   client::WorkloadConfig wl;
   wl.mode = client::LoadMode::kOpenLoop;
   wl.arrival_rate_tps = 2000;
-  const auto t = harness::execute_full(harness::timeline_spec(
-      cfg, wl, /*horizon=*/1.0, /*bucket=*/0.25, /*fluct_start=*/10,
-      /*fluct_end=*/11, 0, 0, /*crash_at=*/-1, 0));
+  const auto t = harness::execute_full(
+      harness::timeline_spec(cfg, wl, /*horizon_s=*/1.0, /*bucket_s=*/0.25));
   ASSERT_EQ(t.tx_per_s.size(), 4u);
   ASSERT_EQ(t.bucket_start_s.size(), 4u);
   EXPECT_DOUBLE_EQ(t.bucket_start_s[3], 0.75);

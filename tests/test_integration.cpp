@@ -319,14 +319,14 @@ TEST(Recovery, HotStuffSurvivesNetworkFluctuation) {
   cfg.timeout = sim::milliseconds(100);
   cfg.bsize = 100;
 
+  cfg.churn = "fluct@0.5s:for=1s:lo=10ms:hi=100ms";
+
   client::WorkloadConfig wl;
   wl.mode = client::LoadMode::kOpenLoop;
   wl.arrival_rate_tps = 5000;
 
-  const auto timeline = harness::execute_full(harness::timeline_spec(
-      cfg, wl, /*horizon_s=*/3.0, /*bucket_s=*/0.5,
-      /*fluct_start_s=*/0.5, /*fluct_end_s=*/1.5, sim::milliseconds(10),
-      sim::milliseconds(100), /*crash_at_s=*/-1, 0));
+  const auto timeline = harness::execute_full(
+      harness::timeline_spec(cfg, wl, /*horizon_s=*/3.0, /*bucket_s=*/0.5));
 
   EXPECT_TRUE(timeline.result.consistent);
   // Throughput must resume after the fluctuation window ([2.0s, 3.0s)).

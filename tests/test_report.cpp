@@ -10,11 +10,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "client/workload.h"
 #include "harness/report.h"
 #include "util/histogram.h"
 #include "util/json.h"
@@ -366,14 +368,88 @@ TEST(ReportSchema, MissingMembersDecodeToDefaults) {
       harness::report::record_from_json(util::Json::parse("{}"));
   EXPECT_EQ(decoded, Record{});
   EXPECT_EQ(decoded.kind, "run");
-  EXPECT_EQ(decoded.prov.mode, "closed");
-  EXPECT_EQ(decoded.prov.n_replicas, 4u);
+  EXPECT_EQ(decoded.prov.workload.mode, client::LoadMode::kClosedLoop);
+  EXPECT_EQ(decoded.prov.cfg.n_replicas, 4u);
   // A member of the wrong JSON type is ignored the same way.
-  const Record typed = harness::report::record_from_json(
-      util::Json::parse(R"({"bsize":"many","seed":"12","rep":2})"));
-  EXPECT_EQ(typed.prov.bsize, Record{}.prov.bsize);
-  EXPECT_EQ(typed.prov.seed, 12u);
+  const Record typed = harness::report::record_from_json(util::Json::parse(
+      R"({"bsize":"many","seed":"12","base_seed":true,"mode":3,)"
+      R"("delay_ms":"5","rep":2})"));
+  EXPECT_EQ(typed.prov.cfg.bsize, Record{}.prov.cfg.bsize);
+  EXPECT_EQ(typed.prov.cfg.seed, 12u);
+  EXPECT_EQ(typed.prov.base_seed, Record{}.prov.base_seed);
+  EXPECT_EQ(typed.prov.workload.mode, Record{}.prov.workload.mode);
+  EXPECT_EQ(typed.prov.cfg.delay, Record{}.prov.cfg.delay);
   EXPECT_EQ(typed.rep, 2u);
+}
+
+TEST(ReportSchema, DefaultProvenanceMatchesADefaultRunSpec) {
+  // Each run input's default is declared once, where the run reads it: a
+  // default Record's provenance cells equal those of a default RunSpec's
+  // run row. base_seed alone is not a RunSpec field.
+  const util::Json blank = harness::report::to_json(Record{});
+  const util::Json run = harness::report::to_json(
+      harness::report::make_run_record("b", "a", "s", 0, harness::RunSpec{},
+                                       0, 1, harness::RunResult{}));
+  const std::vector<std::string>& columns = harness::report::csv_columns();
+  const auto first = std::find(columns.begin(), columns.end(), "protocol");
+  const auto last = std::find(columns.begin(), columns.end(), "offered");
+  ASSERT_LT(first, last);
+  for (auto it = first; it != std::next(last); ++it) {
+    if (*it == "base_seed") continue;
+    ASSERT_NE(blank.find(*it), nullptr) << *it;
+    ASSERT_NE(run.find(*it), nullptr) << *it;
+    EXPECT_EQ(blank.find(*it)->dump(), run.find(*it)->dump()) << *it;
+  }
+}
+
+/// Decoding {"<column>": <cell>} must throw std::invalid_argument naming
+/// the column: a corrupt shard row is refused, not merged.
+void expect_refused(const std::string& column, const std::string& cell) {
+  const std::string text = "{\"" + column + "\":" + cell + "}";
+  try {
+    static_cast<void>(
+        harness::report::record_from_json(util::Json::parse(text)));
+    ADD_FAILURE() << text << " decoded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + column + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Seed cells no run writes: junk, a sign or a fraction in the decimal
+/// string, and numbers that are negative, fractional or past 2^64.
+constexpr const char* kCorruptSeeds[] = {R"("x7")", R"("-1")", R"("7x")",
+                                         R"("7.5")", R"("")", "-1",
+                                         "7.5",     "1e30"};
+
+TEST(ReportSchema, CorruptSeedIsRefused) {
+  for (const char* cell : kCorruptSeeds) expect_refused("seed", cell);
+  const auto seed_of = [](const char* text) {
+    return harness::report::record_from_json(util::Json::parse(text))
+        .prov.cfg.seed;
+  };
+  EXPECT_EQ(seed_of(R"({"seed":"18446744073709551615"})"),
+            18446744073709551615ull);
+  EXPECT_EQ(seed_of(R"({"seed":7})"), 7u);
+}
+
+TEST(ReportSchema, CorruptBaseSeedIsRefused) {
+  for (const char* cell : kCorruptSeeds) expect_refused("base_seed", cell);
+  EXPECT_EQ(harness::report::record_from_json(
+                util::Json::parse(R"({"base_seed":"42"})"))
+                .prov.base_seed,
+            42u);
+}
+
+TEST(ReportSchema, UnknownModeIsRefused) {
+  for (const char* cell : {R"("bursty")", R"("Closed")", R"("")"}) {
+    expect_refused("mode", cell);
+  }
+  EXPECT_EQ(harness::report::record_from_json(
+                util::Json::parse(R"({"mode":"open"})"))
+                .prov.workload.mode,
+            client::LoadMode::kOpenLoop);
 }
 
 TEST(ReportSchema, SingleRecordJsonRoundTrip) {
@@ -388,7 +464,7 @@ TEST(ReportSchema, FullWidthSeedsRoundTripThroughJson) {
   // emitter writes them as decimal strings so nothing is lost.
   Record r = fixture_records().front();
   r.prov.base_seed = 9007199254740993ull;  // 2^53 + 1
-  r.prov.seed = r.prov.base_seed + 1;
+  r.prov.cfg.seed = r.prov.base_seed + 1;
   const util::Json j = util::Json::parse(harness::report::to_json(r).dump());
   EXPECT_EQ(harness::report::record_from_json(j), r);
 }
@@ -399,10 +475,10 @@ TEST(ReportSchema, AggregateRowCarriesCis) {
   EXPECT_EQ(agg.reps, 3u);
   EXPECT_GT(agg.ci.throughput_tps, 0.0);
   EXPECT_GT(agg.ci.latency_ms_mean, 0.0);
-  EXPECT_EQ(agg.prov.seed, agg.prov.base_seed);
+  EXPECT_EQ(agg.prov.cfg.seed, agg.prov.base_seed);
   // Run rows carry the shifted per-rep seed.
   const Record run1 = fixture_records()[1];
-  EXPECT_EQ(run1.prov.seed, run1.prov.base_seed + 1);
+  EXPECT_EQ(run1.prov.cfg.seed, run1.prov.base_seed + 1);
   EXPECT_EQ(run1.ci, harness::report::CiSet{});
 }
 

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "client/workload.h"
@@ -107,8 +109,12 @@ TEST(ParallelRunner, ResolveThreadsPrecedence) {
   ::setenv("BAMBOO_THREADS", "5", 1);
   EXPECT_EQ(harness::ParallelRunner::resolve_threads(0), 5u);
   EXPECT_EQ(harness::ParallelRunner::resolve_threads(2), 2u);
+  // A malformed value is ignored, not read as its leading digits.
+  ::setenv("BAMBOO_THREADS", "5x", 1);
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(harness::ParallelRunner::resolve_threads(0), hardware);
   ::unsetenv("BAMBOO_THREADS");
-  EXPECT_GE(harness::ParallelRunner::resolve_threads(0), 1u);
+  EXPECT_EQ(harness::ParallelRunner::resolve_threads(0), hardware);
 }
 
 // ---------------------------------------------------------------------------

@@ -1285,8 +1285,8 @@ TEST(StorageRecovery, DiskColumnsReachPersistedRecords) {
                    result.write_amplification);
   EXPECT_EQ(back.result.store_reads, result.store_reads);
   EXPECT_EQ(back.result.restarts, result.restarts);
-  EXPECT_EQ(back.prov.store, "file");
-  EXPECT_EQ(back.prov.retention, 16u);
+  EXPECT_EQ(back.prov.cfg.store, "file");
+  EXPECT_EQ(back.prov.cfg.retention, 16u);
   // The CSV row has one cell per column.
   std::size_t cells = 1;
   bool quoted = false;

@@ -659,9 +659,9 @@ TEST(SyncRecovery, RecoveryColumnsReachPersistedRecords) {
   EXPECT_EQ(back.result.sync_blocks, result.sync_blocks);
   EXPECT_EQ(back.result.sync_bytes, result.sync_bytes);
   EXPECT_DOUBLE_EQ(back.result.recovery_ms, result.recovery_ms);
-  EXPECT_EQ(back.prov.sync_batch, 6u);
-  EXPECT_EQ(back.prov.sync_retries, 4u);
-  EXPECT_DOUBLE_EQ(back.prov.sync_timeout_ms, 80.0);
+  EXPECT_EQ(back.prov.cfg.sync_batch, 6u);
+  EXPECT_EQ(back.prov.cfg.sync_retries, 4u);
+  EXPECT_EQ(back.prov.cfg.sync_timeout, sim::milliseconds(80));
   // The CSV row has one cell per column.
   std::size_t cells = 1;
   bool quoted = false;

@@ -24,6 +24,13 @@
    src/, bench/, tests/ or examples/ must resolve from the repo root or
    from docs/ — catches code that points its reader at a doc that does
    not exist.
+8. Every backticked namespace- or class-qualified name (`ns::Name`,
+   optionally with a call or template argument list) in docs/*.md and
+   README.md must name identifiers that still occur in a source file
+   under src/, bench/, tests/, tools/, examples/ or perfbench/: each
+   `::`-separated part must appear there as a whole word — catches docs
+   that name a renamed or deleted type, member or function. ROADMAP.md
+   and CHANGES.md are history and exempt.
 
 Usage: check_docs.py [repo-root]   (default: the parent of this script)
 """
@@ -65,12 +72,21 @@ CODE_DIRS = ("src", "bench", "tests", "examples")
 CODE_EXTS = (".h", ".cpp", ".py", ".sh")
 DOC_BASES = ("", "docs")
 
+# Rule 8: the docs whose qualified names must still exist, and the trees
+# where they must occur.
+QUALIFIED_DOCS = ("README.md",)
+QUALIFIED_DOC_DIR = "docs"
+SOURCE_DIRS = ("src", "bench", "tests", "tools", "examples", "perfbench")
+
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BENCH_REF_RE = re.compile(r"\b(bench_[a-z0-9_]+)\b")
 RECIPE_RE = re.compile(r"(?:^|[\s./])build/(bench_[a-z0-9_]+)(\s[^\n]*)?$")
 FLAG_RE = re.compile(r"(--[a-z_-]+)")
 CODE_NAME_RE = re.compile(r"`([A-Za-z0-9_]+)`")
 MD_CITE_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
+QUALIFIED_RE = re.compile(
+    r"`([A-Za-z_]\w*(?:::[A-Za-z_]\w*)+)(?:\([^`]*\)|<[^`]*>)?`")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def md_files(root):
@@ -274,6 +290,41 @@ def check_code_doc_citations(root):
     return errors
 
 
+def source_words(root):
+    """Every identifier-like word in the source trees of rule 8."""
+    words = set()
+    for top in SOURCE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
+            for name in filenames:
+                if not name.endswith(CODE_EXTS):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    words.update(WORD_RE.findall(f.read()))
+    return words
+
+
+def check_qualified_names(root):
+    docs = list(QUALIFIED_DOCS) + sorted(
+        os.path.join(QUALIFIED_DOC_DIR, name)
+        for name in os.listdir(os.path.join(root, QUALIFIED_DOC_DIR))
+        if name.endswith(".md"))
+    words = source_words(root)
+    errors = []
+    for doc in docs:
+        with open(os.path.join(root, doc), encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                for name in QUALIFIED_RE.findall(line):
+                    missing = [p for p in name.split("::") if p not in words]
+                    if missing:
+                        errors.append(
+                            f"{doc}:{lineno}: `{name}` names "
+                            f"{', '.join(missing)}, which no source file "
+                            f"under {', '.join(SOURCE_DIRS)} contains")
+    return errors
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1]
@@ -289,6 +340,7 @@ def main():
         + check_recipes(root, benches)
         + check_schema_doc(root)
         + check_code_doc_citations(root)
+        + check_qualified_names(root)
     )
     if errors:
         for err in errors:
@@ -298,7 +350,7 @@ def main():
     print("docs OK: links resolve, README matrix covers every bench "
           "binary, required handbook links present, recipes runnable, "
           "schema table matches the golden header, code cites existing "
-          "docs")
+          "docs, qualified names in the docs exist in the sources")
     return 0
 
 
